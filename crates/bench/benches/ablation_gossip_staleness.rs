@@ -17,7 +17,9 @@
 
 use dlb_bench::results::{JsonlSink, Record};
 use dlb_gossip::wire::view_bytes;
-use dlb_gossip::{DeltaGossip, DeltaGossipConfig, EventGossip, EventGossipConfig, GossipNetwork};
+use dlb_gossip::{
+    DeltaGossip, DeltaGossipConfig, EventGossip, EventGossipConfig, GossipInputs, GossipNetwork,
+};
 use dlb_scenario::{AlgoSpec, GossipSpec, NetSpec, ScenarioSpec};
 
 fn main() {
@@ -45,7 +47,11 @@ fn main() {
         let virtual_ms = {
             let mut events = EventGossip::new(&loads, 3);
             events
-                .run(&EventGossipConfig::default(), |_, _| 10.0)
+                .run(
+                    &EventGossipConfig::default(),
+                    |_, _| 10.0,
+                    GossipInputs::default(),
+                )
                 .virtual_ms
         };
         sink.record(

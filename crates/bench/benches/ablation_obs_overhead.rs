@@ -30,7 +30,7 @@
 use dlb_bench::results::{JsonlSink, Record};
 use dlb_netsim::rtt::QueueModel;
 use dlb_netsim::LinkDelayModel;
-use dlb_runtime::{run_cluster_events, ClusterOptions, NodeConfig};
+use dlb_runtime::{run_cluster_events, ClusterOptions, EventInputs, NodeConfig};
 use dlb_scenario::{runner_for, RunRecord, ScenarioSpec};
 use std::time::Instant;
 
@@ -88,10 +88,15 @@ fn main() {
     for rep in 0..REPS {
         // Interleave the variants so slow machine phases hit them all.
         let t0 = Instant::now();
-        let report = run_cluster_events(&instance, &direct_options(&spec, &instance), {
-            let delays = LinkDelayModel::new(instance.latency(), spec.seed);
-            move |i, j| delays.one_way_ms(i, j)
-        });
+        let report = run_cluster_events(
+            &instance,
+            &direct_options(&spec, &instance),
+            {
+                let delays = LinkDelayModel::new(instance.latency(), spec.seed);
+                move |i, j| delays.one_way_ms(i, j)
+            },
+            EventInputs::default(),
+        );
         times[0].push(t0.elapsed().as_secs_f64());
         direct_final = *report.history.last().expect("history non-empty");
 

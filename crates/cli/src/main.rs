@@ -26,7 +26,7 @@ use args::{ArgError, Args};
 use dlb_bench::report::render_report;
 use dlb_bench::results::{JsonlSink, Record};
 use dlb_coords::{Estimator, EstimatorConfig};
-use dlb_scenario::{AlgoSpec, NetSpec, RunRecord, ScenarioSpec};
+use dlb_scenario::{AlgoSpec, NetSpec, RunRecord, RuntimeSpec, ScenarioSpec};
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -195,8 +195,14 @@ fn execute(spec: &ScenarioSpec, instance: dlb_core::Instance, sink: &mut JsonlSi
     if trajectory.len() > shown {
         println!("... ({} more)", trajectory.len() - shown);
     }
+    // Event-executor runs report simulated protocol time in wall_secs.
+    let time_kind = if spec.algo == AlgoSpec::Protocol && spec.runtime == RuntimeSpec::Events {
+        "simulated"
+    } else {
+        "wall"
+    };
     println!(
-        "converged: {} after {} iterations; final ΣC = {:.1} ({:.3} s wall)",
+        "converged: {} after {} iterations; final ΣC = {:.1} ({:.3} s {time_kind})",
         run.converged,
         run.iterations,
         run.final_cost(),

@@ -18,7 +18,7 @@
 use crate::args::{ArgError, Args};
 use dlb_bench::report::render_report;
 use dlb_bench::results::Record;
-use dlb_obs::{tag_label, FrameLog, TraceEvent, NODE_COORD};
+use dlb_obs::{tag_label, Compact, FrameLog, TraceEvent, NODE_COORD};
 use dlb_scenario::replay_frame_log;
 
 /// The `--node`/`--kind`/`--from`/`--to` filter, parsed once.
@@ -130,7 +130,7 @@ fn cmd_replay(path: &str, bytes: &[u8]) -> Result<(), ArgError> {
         report.recorded.event_hash,
         report.recorded.rounds,
         report.recorded.exchanges,
-        report.recorded.final_cost
+        Compact(report.recorded.final_cost)
     );
     println!(
         "replayed: event_hash {:#018x}, {} events",

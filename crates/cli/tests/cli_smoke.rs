@@ -48,6 +48,9 @@ fn run_reproduces_engine_costs_exactly() {
             "stderr: {}",
             String::from_utf8_lossy(&output.stderr)
         );
+        // Engine runs time the host.
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains(" s wall)"), "{algo}: {stdout}");
 
         // The record the CLI emitted through the shared sink...
         let rows = parse_jsonl(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
@@ -108,6 +111,10 @@ fn event_protocol_runs_emit_reproducible_records() {
             "stderr: {}",
             String::from_utf8_lossy(&output.stderr)
         );
+        // wall_secs holds simulated seconds here, and the summary says so.
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        assert!(stdout.contains(" s simulated)"), "{stdout}");
+        assert!(!stdout.contains(" s wall)"), "{stdout}");
         records.push(std::fs::read_to_string(&out_path).unwrap());
         let _ = std::fs::remove_file(&out_path);
     }

@@ -19,7 +19,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod auction;
 pub mod bellman_ford;
 pub mod cycle_cancel;
 pub mod graph;
@@ -27,7 +26,6 @@ pub mod graph;
 mod proptests;
 pub mod ssp;
 
-pub use auction::{auction_assignment, AuctionResult};
 pub use graph::{EdgeId, FlowNetwork};
 
 /// Capacities / flows below this are treated as zero.

@@ -596,7 +596,7 @@ impl DeltaGossip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{EventGossip, EventGossipConfig};
+    use crate::events::{EventGossip, EventGossipConfig, GossipInputs};
 
     fn cfg() -> DeltaGossipConfig {
         DeltaGossipConfig::default()
@@ -673,7 +673,11 @@ mod tests {
         // layers must hold the identical, exact load vector everywhere.
         let loads: Vec<f64> = (0..48).map(|i| (i * 3 % 11) as f64).collect();
         let mut full = EventGossip::new(&loads, 21);
-        full.run(&EventGossipConfig::default(), |_, _| 4.0);
+        full.run(
+            &EventGossipConfig::default(),
+            |_, _| 4.0,
+            GossipInputs::default(),
+        );
         let mut delta = DeltaGossip::new(&loads, 21, cfg());
         let (complete, _) = delta.run_until_complete(60_000.0, |_, _| 4.0);
         assert!(complete);

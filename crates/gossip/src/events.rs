@@ -18,7 +18,7 @@
 //! instead of an O(m²) rescan — the rescan is what used to cap the
 //! staleness ablation's event-time column at m = 1000.
 //!
-//! [`EventGossip::run_faulted`] injects a `dlb-faults` script: nodes
+//! [`GossipInputs::faults`] injects a `dlb-faults` script: nodes
 //! that are down neither initiate nor receive, and lossy or
 //! partition-crossing frames are simply **dropped** — push-pull is
 //! periodic and idempotent, so a lost frame costs time, not
@@ -57,6 +57,27 @@ impl Default for EventGossipConfig {
         Self {
             period_ms: 100.0,
             max_ms: 60_000.0,
+        }
+    }
+}
+
+/// What [`EventGossip::run`] takes besides the timing and the delay
+/// function. `GossipInputs::default()` is a fault-free, untraced run;
+/// callers set only the fields they use.
+pub struct GossipInputs<'a, T: TraceSink = NullSink> {
+    /// Faults applied to every frame, compiled for this network's size.
+    /// `None` injects nothing.
+    pub faults: Option<&'a FaultScript>,
+    /// Observes the delivery decisions. Pass `&mut sink` to read the
+    /// sink afterwards.
+    pub tracer: T,
+}
+
+impl Default for GossipInputs<'_> {
+    fn default() -> Self {
+        Self {
+            faults: None,
+            tracer: NullSink,
         }
     }
 }
@@ -226,44 +247,36 @@ impl EventGossip {
     /// Runs scheduled exchanges until full dissemination (or
     /// `config.max_ms`). `delays(i, j)` is the one-way delivery delay
     /// in virtual ms.
-    pub fn run<D: Fn(usize, usize) -> f64>(
+    ///
+    /// [`GossipInputs::faults`] injects a fault script: down nodes
+    /// neither initiate nor receive, and lossy or partition-crossing
+    /// frames are dropped (see the [module docs](self)). Deterministic
+    /// per `(seed, script)`; an empty script reproduces the fault-free
+    /// run bit for bit.
+    ///
+    /// [`GossipInputs::tracer`] observes the delivery decisions: every
+    /// merged view emits a `gossip_full` event (`detail` = entries
+    /// carried) and every frame the fault script swallows emits a
+    /// `frame_dropped` event whose `detail` names the reason —
+    /// [`DROP_DEST_DOWN`] when the receiver is down, [`DROP_LINK_LOSS`]
+    /// for loss and partition crossings. A [`NullSink`] run is
+    /// bit-identical to an untraced one.
+    pub fn run<D: Fn(usize, usize) -> f64, T: TraceSink>(
         &mut self,
         config: &EventGossipConfig,
         delays: D,
+        inputs: GossipInputs<'_, T>,
     ) -> EventGossipStats {
         let m = self.len();
-        self.run_faulted(config, delays, &FaultScript::empty(m))
-    }
-
-    /// [`EventGossip::run`] under a fault script: down nodes neither
-    /// initiate nor receive, and lossy or partition-crossing frames
-    /// are dropped (see the [module docs](self)). Deterministic per
-    /// `(seed, script)`; an empty script reproduces [`EventGossip::run`]
-    /// bit for bit.
-    pub fn run_faulted<D: Fn(usize, usize) -> f64>(
-        &mut self,
-        config: &EventGossipConfig,
-        delays: D,
-        script: &FaultScript,
-    ) -> EventGossipStats {
-        self.run_faulted_observed(config, delays, script, &mut NullSink)
-    }
-
-    /// [`run_faulted`](Self::run_faulted) with a [`TraceSink`]
-    /// observing the delivery decisions: every merged view emits a
-    /// `gossip_full` event (`detail` = entries carried) and every frame
-    /// the fault script swallows emits a `frame_dropped` event whose
-    /// `detail` names the reason — [`DROP_DEST_DOWN`] when the receiver
-    /// is down, [`DROP_LINK_LOSS`] for loss and partition crossings. A
-    /// [`NullSink`] run is bit-identical to the untraced path.
-    pub fn run_faulted_observed<D: Fn(usize, usize) -> f64, T: TraceSink>(
-        &mut self,
-        config: &EventGossipConfig,
-        delays: D,
-        script: &FaultScript,
-        tracer: &mut T,
-    ) -> EventGossipStats {
-        let m = self.len();
+        let no_faults;
+        let script = match inputs.faults {
+            Some(script) => script,
+            None => {
+                no_faults = FaultScript::empty(m);
+                &no_faults
+            }
+        };
+        let mut tracer = inputs.tracer;
         assert_eq!(
             script.len(),
             m,
@@ -329,11 +342,11 @@ impl EventGossip {
                         || script.crossing_blocked(now, from as usize, to as usize)
                         || script.loss_drops(now, event.seq)
                     {
-                        Self::trace_drop(tracer, now, to, from, dest_down);
+                        Self::trace_drop(&mut tracer, now, to, from, dest_down);
                         dropped += 1;
                         continue;
                     }
-                    Self::trace_merge(tracer, now, to, from, view.len());
+                    Self::trace_merge(&mut tracer, now, to, from, view.len());
                     self.merge(to, &view);
                     // The push half alone can finish the job; checking
                     // only on replies would overstate the completion
@@ -366,12 +379,12 @@ impl EventGossip {
                         || script.crossing_blocked(now, from as usize, to as usize)
                         || script.loss_drops(now, event.seq)
                     {
-                        Self::trace_drop(tracer, now, to, from, dest_down);
+                        Self::trace_drop(&mut tracer, now, to, from, dest_down);
                         dropped += 1;
                         dropped_replies += 1;
                         continue;
                     }
-                    Self::trace_merge(tracer, now, to, from, view.len());
+                    Self::trace_merge(&mut tracer, now, to, from, view.len());
                     self.merge(to, &view);
                     exchanges += 1;
                     if self.fully_disseminated() {
@@ -432,11 +445,28 @@ mod tests {
     use super::*;
     use dlb_faults::FaultPlan;
 
+    /// A fault-free, untraced run on the default timing.
+    fn run_plain(net: &mut EventGossip, delays: impl Fn(usize, usize) -> f64) -> EventGossipStats {
+        net.run(
+            &EventGossipConfig::default(),
+            delays,
+            GossipInputs::default(),
+        )
+    }
+
+    /// Inputs that carry only a fault script.
+    fn faulted(script: &FaultScript) -> GossipInputs<'_> {
+        GossipInputs {
+            faults: Some(script),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn disseminates_in_bounded_virtual_time() {
         let loads: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let mut net = EventGossip::new(&loads, 7);
-        let stats = net.run(&EventGossipConfig::default(), |_, _| 10.0);
+        let stats = run_plain(&mut net, |_, _| 10.0);
         assert!(stats.complete, "did not disseminate: {stats:?}");
         assert!(net.fully_disseminated());
         assert!(stats.virtual_ms > 0.0);
@@ -457,9 +487,7 @@ mod tests {
         let loads: Vec<f64> = (0..32).map(|i| (i * i) as f64).collect();
         let run = |seed| {
             let mut net = EventGossip::new(&loads, seed);
-            let stats = net.run(&EventGossipConfig::default(), |i, j| {
-                1.0 + ((i * 31 + j * 17) % 13) as f64
-            });
+            let stats = run_plain(&mut net, |i, j| 1.0 + ((i * 31 + j * 17) % 13) as f64);
             (stats, net.view(5))
         };
         assert_eq!(run(3), run(3));
@@ -471,9 +499,9 @@ mod tests {
         let loads: Vec<f64> = (0..24).map(|i| i as f64).collect();
         let config = EventGossipConfig::default();
         let mut fast = EventGossip::new(&loads, 9);
-        let fast_stats = fast.run(&config, |_, _| 1.0);
+        let fast_stats = fast.run(&config, |_, _| 1.0, GossipInputs::default());
         let mut slow = EventGossip::new(&loads, 9);
-        let slow_stats = slow.run(&config, |_, _| 400.0);
+        let slow_stats = slow.run(&config, |_, _| 400.0, GossipInputs::default());
         assert!(fast_stats.complete && slow_stats.complete);
         assert!(
             slow_stats.virtual_ms > fast_stats.virtual_ms,
@@ -496,6 +524,7 @@ mod tests {
                 max_ms: 10_000.0,
             },
             |_, _| 7.0,
+            GossipInputs::default(),
         );
         assert!(stats.complete);
         assert_eq!(stats.virtual_ms, 7.0, "one-way push completes at d");
@@ -509,10 +538,10 @@ mod tests {
     #[test]
     fn updates_propagate_with_versions() {
         let mut net = EventGossip::new(&[5.0, 6.0, 7.0, 8.0], 3);
-        net.run(&EventGossipConfig::default(), |_, _| 2.0);
+        run_plain(&mut net, |_, _| 2.0);
         net.publish(2, 70.0);
         assert!(!net.fully_disseminated());
-        let stats = net.run(&EventGossipConfig::default(), |_, _| 2.0);
+        let stats = run_plain(&mut net, |_, _| 2.0);
         assert!(stats.complete);
         for node in 0..4 {
             assert_eq!(net.view(node)[2], 70.0, "node {node} has stale entry");
@@ -532,6 +561,7 @@ mod tests {
                 max_ms: 500.0,
             },
             |_, _| 1e9,
+            GossipInputs::default(),
         );
         assert!(!stats.complete);
         assert_eq!(stats.virtual_ms, 500.0);
@@ -540,7 +570,7 @@ mod tests {
     #[test]
     fn trivial_networks_complete_instantly() {
         let mut single = EventGossip::new(&[9.0], 1);
-        let stats = single.run(&EventGossipConfig::default(), |_, _| 1.0);
+        let stats = run_plain(&mut single, |_, _| 1.0);
         assert!(stats.complete);
         assert_eq!(stats.virtual_ms, 0.0);
         assert_eq!(stats.exchanges, 0);
@@ -553,7 +583,7 @@ mod tests {
     fn every_sent_frame_is_billed() {
         let loads: Vec<f64> = (0..40).map(|i| i as f64).collect();
         let mut net = EventGossip::new(&loads, 7);
-        let stats = net.run(&EventGossipConfig::default(), |_, _| 10.0);
+        let stats = run_plain(&mut net, |_, _| 10.0);
         assert!(stats.complete);
         let frame = crate::wire::view_bytes(40) as u64;
         assert!(stats.bytes >= frame * stats.exchanges as u64);
@@ -565,7 +595,7 @@ mod tests {
         let loads: Vec<f64> = (0..30).map(|i| (i * 3) as f64).collect();
         let script = FaultPlan::new().loss(0.5).compile(11, 30);
         let mut net = EventGossip::new(&loads, 11);
-        let stats = net.run_faulted(&EventGossipConfig::default(), |_, _| 10.0, &script);
+        let stats = net.run(&EventGossipConfig::default(), |_, _| 10.0, faulted(&script));
         assert!(stats.complete);
         assert!(
             stats.dropped_replies > 0,
@@ -581,12 +611,12 @@ mod tests {
     fn incremental_completion_matches_reality_through_publishes() {
         let mut net = EventGossip::new(&[1.0, 2.0, 3.0, 4.0, 5.0], 2);
         assert!(!net.fully_disseminated());
-        net.run(&EventGossipConfig::default(), |_, _| 3.0);
+        run_plain(&mut net, |_, _| 3.0);
         assert!(net.fully_disseminated());
         net.publish(0, 10.0);
         net.publish(0, 11.0); // double publish: still one stale origin
         assert!(!net.fully_disseminated());
-        net.run(&EventGossipConfig::default(), |_, _| 3.0);
+        run_plain(&mut net, |_, _| 3.0);
         assert!(net.fully_disseminated());
         for node in 0..5 {
             assert_eq!(net.view(node)[0], 11.0);
@@ -598,13 +628,11 @@ mod tests {
         let loads: Vec<f64> = (0..20).map(|i| i as f64).collect();
         let delays = |i: usize, j: usize| 1.0 + ((i * 7 + j * 3) % 5) as f64;
         let mut plain = EventGossip::new(&loads, 5);
-        let a = plain.run(&EventGossipConfig::default(), delays);
+        let a = run_plain(&mut plain, delays);
         let mut scripted = EventGossip::new(&loads, 5);
-        let b = scripted.run_faulted(
-            &EventGossipConfig::default(),
-            delays,
-            &FaultScript::empty(20),
-        );
+        let script = FaultPlan::new().compile(5, 20);
+        assert!(script.is_empty());
+        let b = scripted.run(&EventGossipConfig::default(), delays, faulted(&script));
         assert_eq!(a, b);
         for node in 0..20 {
             assert_eq!(plain.view(node), scripted.view(node));
@@ -616,10 +644,10 @@ mod tests {
         let loads: Vec<f64> = (0..30).map(|i| (i * 3) as f64).collect();
         let delays = |_: usize, _: usize| 10.0;
         let mut clean = EventGossip::new(&loads, 11);
-        let clean_stats = clean.run(&EventGossipConfig::default(), delays);
+        let clean_stats = run_plain(&mut clean, delays);
         let script = FaultPlan::new().loss(0.5).compile(11, 30);
         let mut lossy = EventGossip::new(&loads, 11);
-        let lossy_stats = lossy.run_faulted(&EventGossipConfig::default(), delays, &script);
+        let lossy_stats = lossy.run(&EventGossipConfig::default(), delays, faulted(&script));
         assert!(lossy_stats.complete);
         assert!(lossy.fully_disseminated());
         assert!(lossy_stats.dropped > 0, "loss must bite: {lossy_stats:?}");
@@ -636,7 +664,7 @@ mod tests {
         let loads: Vec<f64> = (0..12).map(|i| i as f64).collect();
         let script = FaultPlan::new().churn(0.25, 0.0, 2_000.0).compile(3, 12);
         let mut net = EventGossip::new(&loads, 3);
-        let stats = net.run_faulted(&EventGossipConfig::default(), |_, _| 5.0, &script);
+        let stats = net.run(&EventGossipConfig::default(), |_, _| 5.0, faulted(&script));
         assert!(stats.complete);
         // Nodes that were down until t=2000 cannot have been caught up
         // before then.
@@ -655,7 +683,7 @@ mod tests {
         let loads: Vec<f64> = (0..16).map(|i| i as f64).collect();
         let script = FaultPlan::new().partition(0.0, 1_500.0).compile(9, 16);
         let mut net = EventGossip::new(&loads, 9);
-        let stats = net.run_faulted(&EventGossipConfig::default(), |_, _| 5.0, &script);
+        let stats = net.run(&EventGossipConfig::default(), |_, _| 5.0, faulted(&script));
         assert!(stats.complete);
         assert!(stats.dropped > 0, "crossing frames dropped");
         assert!(
@@ -677,11 +705,17 @@ mod tests {
 
         let mut traced = EventGossip::new(&loads, 11);
         let mut sink = MemorySink::default();
-        let stats_traced =
-            traced.run_faulted_observed(&EventGossipConfig::default(), delays, &script, &mut sink);
+        let stats_traced = traced.run(
+            &EventGossipConfig::default(),
+            delays,
+            GossipInputs {
+                faults: Some(&script),
+                tracer: &mut sink,
+            },
+        );
 
         let mut plain = EventGossip::new(&loads, 11);
-        let stats_plain = plain.run_faulted(&EventGossipConfig::default(), delays, &script);
+        let stats_plain = plain.run(&EventGossipConfig::default(), delays, faulted(&script));
 
         // Observation is passive: identical stats and views either way.
         assert_eq!(stats_traced, stats_plain);
@@ -730,7 +764,7 @@ mod tests {
             .compile(13, 24);
         let run = || {
             let mut net = EventGossip::new(&loads, 13);
-            let stats = net.run_faulted(&EventGossipConfig::default(), |_, _| 4.0, &script);
+            let stats = net.run(&EventGossipConfig::default(), |_, _| 4.0, faulted(&script));
             (stats, net.view(7))
         };
         assert_eq!(run(), run());

@@ -18,9 +18,6 @@
 //!   one rotating full shard as anti-entropy fallback, cutting
 //!   steady-state traffic from O(m) to O(changed) per frame. This is
 //!   the layer the engine's `GossipFeed` drives its stale scoring from.
-//! * [`push_sum`] — the push-sum averaging protocol (Kempe et al.) used
-//!   to estimate the average system load `l_av` (the quantity the
-//!   Theorem 1 bounds need).
 //! * [`wire`] — compact message encoding on `bytes`: full-view frames
 //!   (~100 kB at m = 5000 — the bandwidth bill the delta layer exists
 //!   to cut) and sharded delta frames, both property-tested, with
@@ -34,12 +31,10 @@ pub mod events;
 #[cfg(all(test, feature = "proptests"))]
 mod proptests;
 pub mod push_pull;
-pub mod push_sum;
 pub mod shard;
 pub mod wire;
 
 pub use delta::{DeltaGossip, DeltaGossipConfig, GossipTraffic};
-pub use events::{EventGossip, EventGossipConfig, EventGossipStats};
+pub use events::{EventGossip, EventGossipConfig, EventGossipStats, GossipInputs};
 pub use push_pull::{GossipNetwork, GossipStats};
-pub use push_sum::PushSumNetwork;
 pub use shard::ShardMap;

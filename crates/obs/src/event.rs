@@ -242,20 +242,53 @@ impl fmt::Display for TraceEvent {
         write!(
             f,
             "{:>12.3}ms {:<17} node={} peer={} round={} tag={} detail={}",
-            self.at_ms,
+            Compact(self.at_ms),
             self.kind.label(),
             TraceEvent::node_label(self.node),
             TraceEvent::node_label(self.peer),
             self.round,
             tag_label(self.tag),
-            self.detail,
+            Compact(self.detail),
         )
+    }
+}
+
+/// Displays an `f64` in a few dozen characters whatever its value:
+/// plain decimal in the everyday range, exponent form for subnormal,
+/// tiny, huge, and non-finite values. A bit-flipped value in a frame
+/// log then prints as `5e-324` instead of hundreds of digits. Width
+/// and precision flags pass through (`{:>12.3}`).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Compact(pub f64);
+
+impl fmt::Display for Compact {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let x = self.0;
+        if x == 0.0 || (1e-4..1e15).contains(&x.abs()) {
+            fmt::Display::fmt(&x, f)
+        } else {
+            fmt::LowerExp::fmt(&x, f)
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn compact_stays_short_at_every_magnitude() {
+        assert_eq!(Compact(12.5).to_string(), "12.5");
+        assert_eq!(Compact(0.0).to_string(), "0");
+        assert_eq!(format!("{:.3}", Compact(1e300)), "1.000e300");
+        assert_eq!(Compact(f64::from_bits(1)).to_string(), "5e-324");
+        assert_eq!(Compact(f64::NAN).to_string(), "NaN");
+        assert_eq!(Compact(-f64::INFINITY).to_string(), "-inf");
+        let mut ev = TraceEvent::mark(TraceKind::RoundBegin, 1e300, 0);
+        ev.detail = f64::from_bits(1);
+        let shown = ev.to_string();
+        assert!(shown.len() < 100, "{} chars: {shown}", shown.len());
+    }
 
     #[test]
     fn kinds_round_trip_their_discriminants() {

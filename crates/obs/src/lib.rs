@@ -32,7 +32,7 @@ pub mod framelog;
 pub mod metrics;
 pub mod sink;
 
-pub use event::{tag_label, TraceEvent, TraceKind, KIND_COUNT, NODE_COORD, NO_PEER};
+pub use event::{tag_label, Compact, TraceEvent, TraceKind, KIND_COUNT, NODE_COORD, NO_PEER};
 pub use framelog::{FrameLog, Trailer, FORMAT_VERSION};
 pub use metrics::{Histogram, MetricSet, ObsSummary, BUCKETS};
 pub use sink::{MemorySink, NullSink, SummarySink, TraceSink};

@@ -1,9 +1,9 @@
 //! Trace sinks: where emitted [`TraceEvent`]s go.
 //!
-//! The executor threads one `&mut dyn TraceSink` through its hot loop
-//! and guards every emission with [`TraceSink::enabled`] — with the
-//! default [`NullSink`] the whole observability plane costs one
-//! predictable branch per hook, constructs no event, and allocates
+//! The executor threads one sink, monomorphized over its type, through
+//! its hot loop and guards every emission with [`TraceSink::enabled`] —
+//! with the default [`NullSink`] the whole observability plane costs
+//! one predictable branch per hook, constructs no event, and allocates
 //! nothing, so untraced runs stay byte-identical to the pre-obs
 //! executor.
 
@@ -22,6 +22,18 @@ pub trait TraceSink {
 
     /// Consumes one event.
     fn emit(&mut self, ev: &TraceEvent);
+}
+
+/// A borrowed sink, so a caller can hand `&mut sink` to a run and read
+/// the sink afterwards.
+impl<S: TraceSink + ?Sized> TraceSink for &mut S {
+    fn enabled(&self) -> bool {
+        (**self).enabled()
+    }
+
+    fn emit(&mut self, ev: &TraceEvent) {
+        (**self).emit(ev);
+    }
 }
 
 /// The disabled plane: reports `enabled() == false` and ignores

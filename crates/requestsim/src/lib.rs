@@ -15,21 +15,17 @@
 //! * [`validate`] — helpers comparing measured average completion times
 //!   against the closed-form cost, as used by the model-validation
 //!   integration tests,
-//! * [`open_system`] — the paper's *steady-state* reading of `n_i`:
-//!   Poisson request streams routed by the relay fractions, each server
-//!   an FCFS queue; confirms snapshot-optimized assignments also cut
-//!   sojourn times in continuously running systems,
 //! * [`stream`] — the declarative [`ArrivalPlan`] (`poisson:` /
 //!   `burst:` / `diurnal:`, exact text round-trip) compiled per run
 //!   into a deterministic, RNG-stream-free [`StreamScript`] of
 //!   virtual-time arrivals — what the event executor consumes to
-//!   rebalance *while* requests flow.
+//!   rebalance *while* requests flow (the paper's steady-state,
+//!   open-system reading of `n_i`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod discretize;
-pub mod open_system;
 #[cfg(all(test, feature = "proptests"))]
 mod proptests;
 pub mod sim;
@@ -37,6 +33,5 @@ pub mod stream;
 pub mod validate;
 
 pub use discretize::discretize;
-pub use open_system::{run_open_system, OpenSystemConfig, OpenSystemResult};
 pub use sim::{Discipline, SimConfig, SimResult};
 pub use stream::{Arrival, ArrivalPlan, StreamError, StreamScript};

@@ -7,10 +7,8 @@
 //! simulation in `dlb-gossip`):
 //!
 //! 1. **Pop a delivery batch** — all events due at the earliest
-//!    virtual time. The [`Clock`] decides whether to wait
-//!    ([`WallClock`](crate::clock::WallClock)) or jump
-//!    ([`VirtualClock`]) to that instant; it can never reorder
-//!    deliveries.
+//!    virtual time. Simulated time jumps straight to that instant, so
+//!    hours of protocol time finish as fast as the heap drains.
 //! 2. **Shard the batch** — events are grouped into per-destination
 //!    run queues, and the destinations are fanned out over one
 //!    *persistent* `dlb-par` worker pool ([`dlb_par::with_pool`],
@@ -45,9 +43,9 @@
 //!
 //! # Fault injection
 //!
-//! [`run_cluster_events_faulted`] runs the same simulation under a
-//! compiled [`FaultScript`] (`dlb-faults`), which the executor consults
-//! at two deterministic points:
+//! [`EventInputs::faults`] runs the same simulation under a compiled
+//! [`FaultScript`] (`dlb-faults`), which the executor consults at two
+//! deterministic points:
 //!
 //! * **Scheduling** a data-plane frame:
 //!   [`FaultScript::reliable_link`] composes partition holds, delay
@@ -77,9 +75,47 @@
 //! single-threaded scheduling path, so fault trajectories — including
 //! the [`FaultSummary`] accounting — are as bit-reproducible as the
 //! fault-free runs, across repeats and `DLB_THREADS` values. An empty
-//! script takes none of these paths: `run_cluster_events` and
-//! `run_cluster_events_faulted(..., &FaultScript::empty(m))` produce
-//! byte-identical reports.
+//! script takes none of these paths: `faults: None` and
+//! `faults: Some(&FaultScript::empty(m))` produce byte-identical
+//! reports.
+//!
+//! # Request streams
+//!
+//! [`EventInputs::stream`] runs the cluster under a live request
+//! stream: the compiled [`StreamScript`]'s arrivals ride the same
+//! `(due, seq)` event heap as the protocol frames, so the cluster
+//! rebalances *while* requests flow instead of converging over a
+//! frozen snapshot.
+//!
+//! Each arrival is routed to a live server in proportion to how much
+//! of its organization's work that server currently hosts (the live
+//! relay fractions), deposits one unit of load there — buffered by the
+//! node machine while an exchange is open, so no transfer is ever torn
+//! — and departs after its modeled sojourn (`c_ij + l_j/2s_j + 1/s_j`),
+//! withdrawing the unit from wherever rebalancing moved it. Arrivals
+//! routed to a crashed (or already-finished) server are counted as
+//! dropped. While requests are still arriving or in flight the
+//! coordinator is *held open*: quiet rounds park instead of quiescing
+//! (see [`CoordinatorMachine::kick`]), and every stream event resumes
+//! a parked coordinator. Once the stream drains, the hold is released
+//! and the normal quiescence shutdown fires.
+//!
+//! The filled [`ClusterReport::stream`] carries requests served and
+//! dropped, p50/p99 sojourn, and the virtual time the cluster spent
+//! with its worst live utilization above twice the mean
+//! ([`StreamSummary`]). An empty stream takes none of these paths: the
+//! run is byte-identical to an unstreamed one.
+//!
+//! # Observability
+//!
+//! [`EventInputs::tracer`] observes the run through a [`TraceSink`].
+//! Every hook sits on the executor's single-threaded scheduling /
+//! classification path behind a `tracer.enabled()` branch, emits in
+//! deterministic `(due, seq)` delivery order, and never feeds back
+//! into protocol state — so the trace is as bit-reproducible as the
+//! run itself (across repeats *and* `DLB_THREADS` values), and the
+//! default [`NullSink`] leaves the event stream, hash, and report
+//! byte-identical to an unobserved run.
 
 use std::sync::Arc;
 
@@ -91,7 +127,6 @@ use dlb_obs::{NullSink, TraceEvent, TraceKind, TraceSink, NODE_COORD, NO_PEER};
 use dlb_par::with_pool;
 use dlb_requestsim::stream::StreamScript;
 
-use crate::clock::{Clock, VirtualClock};
 use crate::cluster::{ClusterOptions, ClusterReport, DetectMode, StreamSummary};
 use crate::machine::{CoordinatorMachine, Dest, NodeMachine, Outbound, RtoKind};
 use crate::message::{ledger_to_wire, Frame};
@@ -199,7 +234,7 @@ fn hash_timer(mut h: u64, due: f64, tag: u64, node: u64, round: u64) -> u64 {
 
 /// The simulated network: the shared event heap plus the delay model
 /// and fault script every scheduled frame passes through.
-struct Fabric<'s, 't, D, T: TraceSink> {
+struct Fabric<'s, D, T: TraceSink> {
     heap: EventHeap<Event>,
     delays: D,
     script: &'s FaultScript,
@@ -213,10 +248,10 @@ struct Fabric<'s, 't, D, T: TraceSink> {
     /// `tracer.enabled()`; with [`NullSink`] (a monomorphized constant
     /// `false`) the hooks compile down to nothing and the run is
     /// byte-identical to an unobserved one.
-    tracer: &'t mut T,
+    tracer: T,
 }
 
-impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, '_, D, T> {
+impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, D, T> {
     /// Schedules a machine's emissions. `src` is `None` for the
     /// coordinator.
     fn schedule(&mut self, now: f64, src: Option<usize>, out: &mut Vec<Outbound>) {
@@ -320,162 +355,75 @@ impl<D: Fn(usize, usize) -> f64, T: TraceSink> Fabric<'_, '_, D, T> {
     }
 }
 
+/// What a run takes besides the instance, the options, and the delay
+/// function: a fault script, a request stream, and a trace sink.
+/// `EventInputs::default()` is a fault-free, unstreamed, untraced run;
+/// callers set only the fields they use:
+///
+/// ```
+/// # use dlb_core::Instance;
+/// # use dlb_faults::FaultPlan;
+/// # use dlb_runtime::{run_cluster_events, ClusterOptions, EventInputs};
+/// let instance = Instance::homogeneous(4, 1.0, 1.0, 50.0);
+/// let script = FaultPlan::new().loss(0.1).compile(3, 4);
+/// let inputs = EventInputs { faults: Some(&script), ..Default::default() };
+/// let report = run_cluster_events(&instance, &ClusterOptions::default(), |_, _| 5.0, inputs);
+/// assert!(report.quiescent);
+/// ```
+///
+/// These inputs stay off [`ClusterOptions`] because the thread runtime
+/// cannot honour them.
+pub struct EventInputs<'a, T: TraceSink = NullSink> {
+    /// Faults injected at deterministic virtual instants (see the
+    /// [module docs](self)), compiled for this instance's size. `None`
+    /// injects nothing.
+    pub faults: Option<&'a FaultScript>,
+    /// A live request stream (see [Request streams](self#request-streams)).
+    /// `None` runs the closed system.
+    pub stream: Option<&'a StreamScript>,
+    /// Observes the run (see [Observability](self#observability)). Pass
+    /// `&mut sink` to read the sink afterwards; [`NullSink`] compiles
+    /// every hook away.
+    pub tracer: T,
+}
+
+impl Default for EventInputs<'_> {
+    fn default() -> Self {
+        Self {
+            faults: None,
+            stream: None,
+            tracer: NullSink,
+        }
+    }
+}
+
 /// Runs the full message-passing protocol for `instance` on the
-/// event-driven executor under a [`VirtualClock`] — the deterministic
-/// simulation mode. `delays(i, j)` is the one-way delivery latency in
-/// ms from node `i` to node `j` (must be finite and non-negative;
-/// control-plane frames travel free).
-pub fn run_cluster_events<D>(
+/// event-driven executor. `delays(i, j)` is the one-way delivery
+/// latency in ms from node `i` to node `j` (must be finite and
+/// non-negative; control-plane frames travel free). Empty `inputs`
+/// take none of the fault, stream, or trace paths: a run with an empty
+/// fault script or stream is byte-identical to one without.
+pub fn run_cluster_events<D, T>(
     instance: &Instance,
     options: &ClusterOptions,
     delays: D,
+    inputs: EventInputs<'_, T>,
 ) -> ClusterReport
 where
     D: Fn(usize, usize) -> f64,
-{
-    run_cluster_events_faulted(
-        instance,
-        options,
-        delays,
-        &FaultScript::empty(instance.len()),
-    )
-}
-
-/// [`run_cluster_events`] under a fault script: crashes, loss, delay
-/// spikes, and partitions injected at deterministic virtual instants
-/// (see the [module docs](self)). The script must have been compiled
-/// for this instance's size.
-pub fn run_cluster_events_faulted<D>(
-    instance: &Instance,
-    options: &ClusterOptions,
-    delays: D,
-    script: &FaultScript,
-) -> ClusterReport
-where
-    D: Fn(usize, usize) -> f64,
-{
-    run_cluster_events_with_clock(instance, options, delays, script, &mut VirtualClock)
-}
-
-/// [`run_cluster_events_faulted`] with an explicit pacing [`Clock`] —
-/// pass a [`WallClock`](crate::clock::WallClock) to replay the
-/// simulated schedule in real time.
-pub fn run_cluster_events_with_clock<D, C>(
-    instance: &Instance,
-    options: &ClusterOptions,
-    delays: D,
-    script: &FaultScript,
-    clock: &mut C,
-) -> ClusterReport
-where
-    D: Fn(usize, usize) -> f64,
-    C: Clock,
-{
-    run_cluster_events_streamed_with_clock(
-        instance,
-        options,
-        delays,
-        script,
-        &StreamScript::empty(),
-        clock,
-    )
-}
-
-/// [`run_cluster_events_faulted`] under a live request stream: the
-/// compiled [`StreamScript`]'s arrivals ride the same `(due, seq)`
-/// event heap as the protocol frames, so the cluster rebalances
-/// *while* requests flow instead of converging over a frozen snapshot.
-///
-/// Each arrival is routed to a live server in proportion to how much
-/// of its organization's work that server currently hosts (the live
-/// relay fractions), deposits one unit of load there — buffered by the
-/// node machine while an exchange is open, so no transfer is ever torn
-/// — and departs after its modeled sojourn (`c_ij + l_j/2s_j + 1/s_j`),
-/// withdrawing the unit from wherever rebalancing moved it. Arrivals
-/// routed to a crashed (or already-finished) server are counted as
-/// dropped. While requests are still arriving or in flight the
-/// coordinator is *held open*: quiet rounds park instead of quiescing
-/// (see [`CoordinatorMachine::kick`]), and every stream event resumes
-/// a parked coordinator. Once the stream drains, the hold is released
-/// and the normal quiescence shutdown fires.
-///
-/// The filled [`ClusterReport::stream`] carries requests served and
-/// dropped, p50/p99 sojourn, and the virtual time the cluster spent
-/// with its worst live utilization above twice the mean
-/// ([`StreamSummary`]). An empty script takes none of these paths:
-/// the run is byte-identical to [`run_cluster_events_faulted`].
-pub fn run_cluster_events_streamed<D>(
-    instance: &Instance,
-    options: &ClusterOptions,
-    delays: D,
-    script: &FaultScript,
-    stream: &StreamScript,
-) -> ClusterReport
-where
-    D: Fn(usize, usize) -> f64,
-{
-    run_cluster_events_streamed_with_clock(
-        instance,
-        options,
-        delays,
-        script,
-        stream,
-        &mut VirtualClock,
-    )
-}
-
-/// The fully general untraced entry: faults, stream, and explicit
-/// clock, observed by nobody ([`NullSink`] — the hooks compile away
-/// and the run is byte-identical to the pre-observability executor).
-pub fn run_cluster_events_streamed_with_clock<D, C>(
-    instance: &Instance,
-    options: &ClusterOptions,
-    delays: D,
-    script: &FaultScript,
-    stream: &StreamScript,
-    clock: &mut C,
-) -> ClusterReport
-where
-    D: Fn(usize, usize) -> f64,
-    C: Clock,
-{
-    run_cluster_events_observed(
-        instance,
-        options,
-        delays,
-        script,
-        stream,
-        clock,
-        &mut NullSink,
-    )
-}
-
-/// The fully general entry: faults, stream, explicit clock, and a
-/// [`TraceSink`] observing the run.
-///
-/// Every hook sits on the executor's single-threaded scheduling /
-/// classification path behind a `tracer.enabled()` branch, emits in
-/// deterministic `(due, seq)` delivery order, and never feeds back
-/// into protocol state — so the trace is as bit-reproducible as the
-/// run itself (across repeats *and* `DLB_THREADS` values), and a
-/// disabled sink leaves the event stream, hash, and report
-/// byte-identical to [`run_cluster_events_streamed_with_clock`].
-#[allow(clippy::too_many_arguments)]
-pub fn run_cluster_events_observed<D, C, T>(
-    instance: &Instance,
-    options: &ClusterOptions,
-    delays: D,
-    script: &FaultScript,
-    stream: &StreamScript,
-    clock: &mut C,
-    tracer: &mut T,
-) -> ClusterReport
-where
-    D: Fn(usize, usize) -> f64,
-    C: Clock,
     T: TraceSink,
 {
     let m = instance.len();
+    let no_faults;
+    let script = match inputs.faults {
+        Some(script) => script,
+        None => {
+            no_faults = FaultScript::empty(m);
+            &no_faults
+        }
+    };
+    let no_stream = StreamScript::empty();
+    let stream = inputs.stream.unwrap_or(&no_stream);
     assert_eq!(
         script.len(),
         m,
@@ -506,7 +454,7 @@ where
         script,
         summary: FaultSummary::default(),
         rto: (!use_oracle).then_some(options.exchange_rto_ms),
-        tracer,
+        tracer: inputs.tracer,
     };
     // The per-batch work the pool's workers run: drain one node's
     // queue through its machine, collecting emissions. Spawning the
@@ -689,7 +637,6 @@ where
                 break;
             };
             now = first.due;
-            clock.wait_until(now);
             if faulty && !use_oracle {
                 // In-protocol detection takes raw crash physics: the
                 // delivery gate follows the script's down set the
@@ -1321,12 +1268,12 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::clock::WallClock;
     use dlb_core::rngutil::rng_for;
     use dlb_core::workload::{LoadDistribution, SpeedDistribution, WorkloadSpec};
     use dlb_core::LatencyMatrix;
     use dlb_distributed::{Engine, EngineOptions};
     use dlb_faults::FaultPlan;
+    use dlb_requestsim::stream::ArrivalPlan;
 
     /// Half the instance's RTT as the one-way delay — the simplest
     /// honest delay model for tests that already carry a latency
@@ -1335,11 +1282,29 @@ mod tests {
         |i, j| instance.c(i, j) / 2.0
     }
 
+    /// A run on the default options and inputs.
+    fn run_plain(instance: &Instance, delays: impl Fn(usize, usize) -> f64) -> ClusterReport {
+        run_cluster_events(
+            instance,
+            &ClusterOptions::default(),
+            delays,
+            EventInputs::default(),
+        )
+    }
+
+    /// Inputs that carry only a fault script.
+    fn faulted(script: &FaultScript) -> EventInputs<'_> {
+        EventInputs {
+            faults: Some(script),
+            ..Default::default()
+        }
+    }
+
     #[test]
     fn two_nodes_split_a_peak() {
         let mut instance = Instance::homogeneous(2, 1.0, 1.0, 0.0);
         instance.set_own_loads(vec![1000.0, 0.0]);
-        let report = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
+        let report = run_plain(&instance, half_rtt(&instance));
         report.assignment.check_invariants(&instance).unwrap();
         // Lemma 1: optimal transfer is (l_0 − l_1 − c·s)/2 = 499.5.
         assert!((report.assignment.load(0) - 500.5).abs() < 1e-6);
@@ -1362,6 +1327,7 @@ mod tests {
             &instance,
             &ClusterOptions::certified(12),
             half_rtt(&instance),
+            EventInputs::default(),
         );
         report.assignment.check_invariants(&instance).unwrap();
         let mut engine = Engine::new(
@@ -1388,7 +1354,7 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(40, 5.0), &mut rng);
-        let report = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
+        let report = run_plain(&instance, half_rtt(&instance));
         report.assignment.check_invariants(&instance).unwrap();
         for k in 0..40 {
             let total = report.assignment.owner_total(k);
@@ -1409,7 +1375,7 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(8, 10.0), &mut rng);
-        let report = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
+        let report = run_plain(&instance, half_rtt(&instance));
         let last = *report.history.last().unwrap();
         assert!(
             (last - report.final_cost).abs() <= 1e-6 * report.final_cost.max(1.0),
@@ -1432,6 +1398,7 @@ mod tests {
                 ..Default::default()
             },
             half_rtt(&instance),
+            EventInputs::default(),
         );
         report.assignment.check_invariants(&instance).unwrap();
         assert_eq!(report.assignment.load(4), 0.0);
@@ -1444,7 +1411,7 @@ mod tests {
     #[test]
     fn single_node_cluster_is_trivial() {
         let instance = Instance::homogeneous(1, 1.0, 0.0, 50.0);
-        let report = run_cluster_events(&instance, &ClusterOptions::default(), |_, _| 1.0);
+        let report = run_plain(&instance, |_, _| 1.0);
         assert_eq!(report.exchanges, 0);
         assert!(report.quiescent);
         assert_eq!(report.assignment.load(0), 50.0);
@@ -1459,8 +1426,8 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(16, 15.0), &mut rng);
-        let a = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
-        let b = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
+        let a = run_plain(&instance, half_rtt(&instance));
+        let b = run_plain(&instance, half_rtt(&instance));
         assert_eq!(a.event_hash, b.event_hash);
         assert_eq!(a.history, b.history);
         assert_eq!(a.virtual_ms, b.virtual_ms);
@@ -1473,8 +1440,8 @@ mod tests {
     fn virtual_time_scales_with_link_delay() {
         let mut instance = Instance::homogeneous(4, 1.0, 1.0, 0.0);
         instance.set_own_loads(vec![400.0, 0.0, 0.0, 0.0]);
-        let slow = run_cluster_events(&instance, &ClusterOptions::default(), |_, _| 50.0);
-        let fast = run_cluster_events(&instance, &ClusterOptions::default(), |_, _| 5.0);
+        let slow = run_plain(&instance, |_, _| 50.0);
+        let fast = run_plain(&instance, |_, _| 5.0);
         assert!(
             slow.virtual_ms > fast.virtual_ms,
             "slow {} vs fast {}",
@@ -1486,26 +1453,6 @@ mod tests {
         assert_eq!(slow.assignment.loads(), fast.assignment.loads());
     }
 
-    #[test]
-    fn wall_clock_replays_the_same_schedule() {
-        let mut instance = Instance::homogeneous(3, 1.0, 1.0, 0.0);
-        instance.set_own_loads(vec![300.0, 0.0, 0.0]);
-        let virt = run_cluster_events(&instance, &ClusterOptions::default(), |_, _| 2.0);
-        // 1000× fast-forward keeps the test quick while still going
-        // through the sleeping path.
-        let mut clock = WallClock::with_scale(0.001);
-        let wall = run_cluster_events_with_clock(
-            &instance,
-            &ClusterOptions::default(),
-            |_, _| 2.0,
-            &FaultScript::empty(3),
-            &mut clock,
-        );
-        assert_eq!(virt.event_hash, wall.event_hash);
-        assert_eq!(virt.history, wall.history);
-        assert_eq!(virt.assignment.loads(), wall.assignment.loads());
-    }
-
     /// One crashed node: the survivors keep balancing, the victim's
     /// ledger freezes, and conservation holds exactly.
     #[test]
@@ -1515,8 +1462,12 @@ mod tests {
         let script = FaultPlan::new().crash(0.25, 30.0).compile(5, 8);
         let victims = script.down_at(1e12);
         assert_eq!(victims.len(), 2);
-        let report =
-            run_cluster_events_faulted(&instance, &ClusterOptions::default(), |_, _| 5.0, &script);
+        let report = run_cluster_events(
+            &instance,
+            &ClusterOptions::default(),
+            |_, _| 5.0,
+            faulted(&script),
+        );
         report.assignment.check_invariants(&instance).unwrap();
         for k in 0..8 {
             let total = report.assignment.owner_total(k);
@@ -1551,16 +1502,16 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(12, 20.0), &mut rng);
-        let clean = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
+        let clean = run_plain(&instance, half_rtt(&instance));
         let script = FaultPlan::new()
             .loss(0.15)
             .spike(5.0, 0.0, 2_000.0)
             .compile(4, 12);
-        let faulted = run_cluster_events_faulted(
+        let faulted = run_cluster_events(
             &instance,
             &ClusterOptions::default(),
             half_rtt(&instance),
-            &script,
+            faulted(&script),
         );
         faulted.assignment.check_invariants(&instance).unwrap();
         assert!(
@@ -1587,11 +1538,11 @@ mod tests {
         }
         .sample(LatencyMatrix::homogeneous(10, 10.0), &mut rng);
         let script = FaultPlan::new().partition(10.0, 400.0).compile(6, 10);
-        let report = run_cluster_events_faulted(
+        let report = run_cluster_events(
             &instance,
             &ClusterOptions::default(),
             half_rtt(&instance),
-            &script,
+            faulted(&script),
         );
         report.assignment.check_invariants(&instance).unwrap();
         assert!(report.quiescent);
@@ -1614,11 +1565,11 @@ mod tests {
         }
         .sample(LatencyMatrix::homogeneous(8, 10.0), &mut rng);
         let script = FaultPlan::new().churn(0.5, 20.0, 120.0).compile(2, 8);
-        let report = run_cluster_events_faulted(
+        let report = run_cluster_events(
             &instance,
             &ClusterOptions::default(),
             half_rtt(&instance),
-            &script,
+            faulted(&script),
         );
         report.assignment.check_invariants(&instance).unwrap();
         assert!(report.quiescent);
@@ -1630,8 +1581,9 @@ mod tests {
         assert!(loaded >= 7, "recovered nodes take load: {loaded}");
     }
 
-    /// The no-faults parity the scenario layer relies on: an empty
-    /// script is byte-identical to the fault-free entry point.
+    /// The no-faults parity the scenario layer relies on: an
+    /// explicitly compiled empty plan is byte-identical to the default
+    /// (fault-free) inputs.
     #[test]
     fn empty_script_is_byte_identical_to_no_script() {
         let mut rng = rng_for(31, 0xC5);
@@ -1641,12 +1593,14 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(14, 15.0), &mut rng);
-        let plain = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
-        let scripted = run_cluster_events_faulted(
+        let plain = run_plain(&instance, half_rtt(&instance));
+        let script = FaultPlan::new().compile(31, 14);
+        assert!(script.is_empty());
+        let scripted = run_cluster_events(
             &instance,
             &ClusterOptions::default(),
             half_rtt(&instance),
-            &FaultScript::empty(14),
+            faulted(&script),
         );
         assert_eq!(plain.event_hash, scripted.event_hash);
         assert_eq!(plain.history, scripted.history);
@@ -1684,7 +1638,7 @@ mod tests {
             exchange_rto_ms: 400.0,
             ..Default::default()
         };
-        let report = run_cluster_events_faulted(&instance, &options, |_, _| 5.0, &script);
+        let report = run_cluster_events(&instance, &options, |_, _| 5.0, faulted(&script));
         assert_conserved(&report, &instance);
         assert!(report.quiescent, "survivors must still quiesce");
         assert!(
@@ -1726,7 +1680,7 @@ mod tests {
             exchange_rto_ms: 20_000.0,
             ..Default::default()
         };
-        let report = run_cluster_events_faulted(&instance, &options, |_, _| 10.0, &script);
+        let report = run_cluster_events(&instance, &options, |_, _| 10.0, faulted(&script));
         assert_conserved(&report, &instance);
         assert!(report.quiescent);
         assert!(
@@ -1758,7 +1712,7 @@ mod tests {
                 exchange_rto_ms: 20_000.0,
                 ..Default::default()
             };
-            run_cluster_events_faulted(&instance, &options, |_, _| 10.0, &script)
+            run_cluster_events(&instance, &options, |_, _| 10.0, faulted(&script))
         };
         let fixed = run(DetectMode::Timeout(60.0));
         let adaptive = run(DetectMode::Adaptive);
@@ -1793,7 +1747,7 @@ mod tests {
             exchange_rto_ms: 2_000.0,
             ..Default::default()
         };
-        let report = run_cluster_events_faulted(&instance, &options, half_rtt(&instance), &script);
+        let report = run_cluster_events(&instance, &options, half_rtt(&instance), faulted(&script));
         assert_conserved(&report, &instance);
         assert!(report.quiescent);
         assert!(report.detector.suspicions > 0);
@@ -1822,8 +1776,8 @@ mod tests {
             exchange_rto_ms: 1_500.0,
             ..Default::default()
         };
-        let a = run_cluster_events_faulted(&instance, &options, half_rtt(&instance), &script);
-        let b = run_cluster_events_faulted(&instance, &options, half_rtt(&instance), &script);
+        let a = run_cluster_events(&instance, &options, half_rtt(&instance), faulted(&script));
+        let b = run_cluster_events(&instance, &options, half_rtt(&instance), faulted(&script));
         assert_eq!(a.event_hash, b.event_hash);
         assert_eq!(a.history, b.history);
         assert_eq!(a.virtual_ms, b.virtual_ms);
@@ -1832,9 +1786,9 @@ mod tests {
         assert_eq!(a.faults, b.faults);
     }
 
-    /// The no-stream parity the scenario layer relies on: an empty
-    /// stream script is byte-identical to the unstreamed entry point,
-    /// and its summary stays quiet.
+    /// The no-stream parity the scenario layer relies on: an
+    /// explicitly compiled empty arrival plan is byte-identical to the
+    /// default (unstreamed) inputs, and its summary stays quiet.
     #[test]
     fn empty_stream_is_byte_identical_to_unstreamed() {
         let mut rng = rng_for(12, 0xE1);
@@ -1844,13 +1798,17 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(10, 12.0), &mut rng);
-        let plain = run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
-        let streamed = run_cluster_events_streamed(
+        let plain = run_plain(&instance, half_rtt(&instance));
+        let stream = ArrivalPlan::new().compile(12, 1000.0, instance.own_loads());
+        assert!(stream.is_empty());
+        let streamed = run_cluster_events(
             &instance,
             &ClusterOptions::default(),
             half_rtt(&instance),
-            &FaultScript::empty(10),
-            &StreamScript::empty(),
+            EventInputs {
+                stream: Some(&stream),
+                ..Default::default()
+            },
         );
         assert_eq!(plain.event_hash, streamed.event_hash);
         assert_eq!(plain.history, streamed.history);
@@ -1864,7 +1822,6 @@ mod tests {
     /// the run outlives the last arrival before quiescing.
     #[test]
     fn streamed_arrivals_are_served_with_finite_latency() {
-        use dlb_requestsim::stream::ArrivalPlan;
         let mut rng = rng_for(7, 0xE2);
         let instance = WorkloadSpec {
             loads: LoadDistribution::Exponential,
@@ -1876,12 +1833,14 @@ mod tests {
             .poisson(300.0)
             .compile(3, 1_000.0, instance.own_loads());
         assert!(!stream.is_empty());
-        let report = run_cluster_events_streamed(
+        let report = run_cluster_events(
             &instance,
             &ClusterOptions::default(),
             half_rtt(&instance),
-            &FaultScript::empty(8),
-            &stream,
+            EventInputs {
+                stream: Some(&stream),
+                ..Default::default()
+            },
         );
         let s = report.stream;
         assert_eq!(s.served + s.dropped, stream.len() as u64);
@@ -1903,7 +1862,6 @@ mod tests {
     /// summary, same event hash.
     #[test]
     fn streamed_runs_are_bit_identical() {
-        use dlb_requestsim::stream::ArrivalPlan;
         let mut rng = rng_for(19, 0xE3);
         let instance = WorkloadSpec {
             loads: LoadDistribution::Uniform,
@@ -1916,12 +1874,14 @@ mod tests {
             .burst(300.0, 200.0, 400.0)
             .compile(11, 800.0, instance.own_loads());
         let run = || {
-            run_cluster_events_streamed(
+            run_cluster_events(
                 &instance,
                 &ClusterOptions::default(),
                 half_rtt(&instance),
-                &FaultScript::empty(6),
-                &stream,
+                EventInputs {
+                    stream: Some(&stream),
+                    ..Default::default()
+                },
             )
         };
         let a = run();
@@ -1938,7 +1898,6 @@ mod tests {
     /// being served, and the run still terminates.
     #[test]
     fn crash_mid_stream_drops_the_victims_requests() {
-        use dlb_requestsim::stream::ArrivalPlan;
         // Homogeneous loads: no exchanges move work, so each org is
         // hosted exactly at home and a crash strands its stream.
         let instance = Instance::homogeneous(8, 1.0, 0.0, 50.0);
@@ -1947,12 +1906,15 @@ mod tests {
         let stream = ArrivalPlan::new()
             .poisson(200.0)
             .compile(9, 600.0, instance.own_loads());
-        let report = run_cluster_events_streamed(
+        let report = run_cluster_events(
             &instance,
             &ClusterOptions::default(),
             |_, _| 5.0,
-            &script,
-            &stream,
+            EventInputs {
+                faults: Some(&script),
+                stream: Some(&stream),
+                ..Default::default()
+            },
         );
         let s = report.stream;
         assert_eq!(s.served + s.dropped, stream.len() as u64);
@@ -1973,8 +1935,7 @@ mod tests {
             speeds: SpeedDistribution::paper_uniform(),
         }
         .sample(LatencyMatrix::homogeneous(9, 12.0), &mut rng);
-        let classic =
-            run_cluster_events(&instance, &ClusterOptions::default(), half_rtt(&instance));
+        let classic = run_plain(&instance, half_rtt(&instance));
         let detect = run_cluster_events(
             &instance,
             &ClusterOptions {
@@ -1982,6 +1943,7 @@ mod tests {
                 ..Default::default()
             },
             half_rtt(&instance),
+            EventInputs::default(),
         );
         assert_conserved(&detect, &instance);
         assert!(detect.quiescent);

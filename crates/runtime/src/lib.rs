@@ -24,11 +24,9 @@
 //!   virtual-time heap delivers frames to thousands of machines in one
 //!   process, with per-link latencies supplied by the caller (the
 //!   scenario layer samples them from `dlb-netsim`) and delivery
-//!   batches fanned out over the `dlb-par` worker pool;
-//! * [`clock`] — pacing for the executor: [`clock::VirtualClock`]
-//!   jumps between batches (simulation), [`clock::WallClock`] sleeps
-//!   until each batch is really due (live replay). The clock cannot
-//!   reorder deliveries, so both produce bit-identical results.
+//!   batches fanned out over the `dlb-par` worker pool. One entry
+//!   point, [`run_cluster_events`], takes the fault script, request
+//!   stream, and trace sink as [`EventInputs`], all empty by default.
 //!
 //! Two things make this more than a re-run of the engine:
 //!
@@ -49,14 +47,18 @@
 //!
 //! ```
 //! use dlb_core::Instance;
-//! use dlb_runtime::{run_cluster_events, ClusterOptions};
+//! use dlb_runtime::{run_cluster_events, ClusterOptions, EventInputs};
 //!
 //! let mut instance = Instance::homogeneous(4, 1.0, 1.0, 0.0);
 //! instance.set_own_loads(vec![400.0, 0.0, 0.0, 0.0]);
 //! // Virtual-time simulation: one-way link delay = half the RTT column.
-//! let report = run_cluster_events(&instance, &ClusterOptions::default(), |i, j| {
-//!     instance.c(i, j) / 2.0
-//! });
+//! let delays = |i: usize, j: usize| instance.c(i, j) / 2.0;
+//! let report = run_cluster_events(
+//!     &instance,
+//!     &ClusterOptions::default(),
+//!     delays,
+//!     EventInputs::default(), // no faults, no stream, no tracing
+//! );
 //! assert!(report.quiescent);
 //! assert!(report.assignment.load(3) > 90.0); // peak got spread
 //! assert!(report.virtual_ms > 0.0); // simulated protocol time
@@ -65,7 +67,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod clock;
 pub mod cluster;
 pub mod executor;
 pub mod machine;
@@ -74,15 +75,10 @@ pub mod node;
 #[cfg(all(test, feature = "proptests"))]
 mod proptests;
 
-pub use clock::{Clock, VirtualClock, WallClock};
 pub use cluster::{
     run_cluster, ClusterOptions, ClusterReport, DetectMode, DetectorSummary, StreamSummary,
 };
-pub use executor::{
-    run_cluster_events, run_cluster_events_faulted, run_cluster_events_observed,
-    run_cluster_events_streamed, run_cluster_events_streamed_with_clock,
-    run_cluster_events_with_clock,
-};
+pub use executor::{run_cluster_events, EventInputs};
 pub use machine::{
     CoordinatorMachine, Dest, NodeConfig, NodeMachine, Outbound, RtoKind, SelectPolicy,
     ADAPTIVE_BOOTSTRAP_MS,

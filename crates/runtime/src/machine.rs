@@ -1418,7 +1418,7 @@ impl CoordinatorMachine {
         }
     }
 
-    /// Clock-aware variant of [`Self::handle`] for drivers running
+    /// Time-aware variant of [`Self::handle`] for drivers running
     /// in-protocol detection: records the frame's arrival instant (the
     /// latency sample source and rejoin timestamp) before delegating.
     pub fn handle_at(&mut self, frame: &Frame, now: f64, out: &mut Vec<Outbound>) {

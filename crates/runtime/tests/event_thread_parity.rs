@@ -18,7 +18,7 @@
 
 use dlb_core::workload::LoadDistribution;
 use dlb_core::{Instance, LatencyMatrix};
-use dlb_runtime::{run_cluster, run_cluster_events, ClusterOptions};
+use dlb_runtime::{run_cluster, run_cluster_events, ClusterOptions, EventInputs};
 
 mod common;
 use common::{planetlab_like, workload};
@@ -39,7 +39,12 @@ fn assert_parity(instance: &Instance, seed: u64, label: &str) {
     let options = certified(m);
     let threads = run_cluster(instance, &options);
     threads.assignment.check_invariants(instance).unwrap();
-    let events = run_cluster_events(instance, &options, |i, j| instance.c(i, j) / 2.0);
+    let events = run_cluster_events(
+        instance,
+        &options,
+        |i, j| instance.c(i, j) / 2.0,
+        EventInputs::default(),
+    );
     events.assignment.check_invariants(instance).unwrap();
     assert!(
         events.final_cost <= threads.final_cost * 1.01
@@ -103,7 +108,12 @@ fn parity_with_failed_nodes() {
         ..certified(12)
     };
     let threads = run_cluster(&instance, &options);
-    let events = run_cluster_events(&instance, &options, |i, j| instance.c(i, j) / 2.0);
+    let events = run_cluster_events(
+        &instance,
+        &options,
+        |i, j| instance.c(i, j) / 2.0,
+        EventInputs::default(),
+    );
     for &f in &[3usize, 7] {
         assert_eq!(events.assignment.load(f), instance.own_load(f));
         assert_eq!(events.assignment.load(f), threads.assignment.load(f));

@@ -14,7 +14,7 @@
 use dlb_core::workload::LoadDistribution;
 use dlb_core::Instance;
 use dlb_faults::FaultPlan;
-use dlb_runtime::{run_cluster_events_faulted, ClusterOptions, DetectMode};
+use dlb_runtime::{run_cluster_events, ClusterOptions, DetectMode, EventInputs};
 
 mod common;
 use common::{planetlab_like, workload};
@@ -24,8 +24,15 @@ use common::{planetlab_like, workload};
 fn assert_conserved(instance: &Instance, options: &ClusterOptions, plan: &FaultPlan, label: &str) {
     let m = instance.len();
     let script = plan.compile(11, m);
-    let report =
-        run_cluster_events_faulted(instance, options, |i, j| instance.c(i, j) / 2.0, &script);
+    let report = run_cluster_events(
+        instance,
+        options,
+        |i, j| instance.c(i, j) / 2.0,
+        EventInputs {
+            faults: Some(&script),
+            ..Default::default()
+        },
+    );
     report
         .assignment
         .check_invariants(instance)

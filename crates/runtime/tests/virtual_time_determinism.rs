@@ -17,7 +17,7 @@
 use dlb_core::workload::LoadDistribution;
 use dlb_core::Instance;
 use dlb_faults::{FaultPlan, FaultScript};
-use dlb_runtime::{run_cluster_events, run_cluster_events_faulted, ClusterOptions, ClusterReport};
+use dlb_runtime::{run_cluster_events, ClusterOptions, ClusterReport, EventInputs};
 use std::sync::Mutex;
 
 mod common;
@@ -40,9 +40,12 @@ fn instance(m: usize, seed: u64) -> Instance {
 }
 
 fn simulate(instance: &Instance) -> ClusterReport {
-    run_cluster_events(instance, &ClusterOptions::default(), |i, j| {
-        instance.c(i, j) / 2.0
-    })
+    run_cluster_events(
+        instance,
+        &ClusterOptions::default(),
+        |i, j| instance.c(i, j) / 2.0,
+        EventInputs::default(),
+    )
 }
 
 /// Everything observable about a run that must be bit-stable. Wall
@@ -94,11 +97,14 @@ fn chaos_script(m: usize) -> FaultScript {
 }
 
 fn simulate_faulted(instance: &Instance, script: &FaultScript) -> ClusterReport {
-    run_cluster_events_faulted(
+    run_cluster_events(
         instance,
         &ClusterOptions::default(),
         |i, j| instance.c(i, j) / 2.0,
-        script,
+        EventInputs {
+            faults: Some(script),
+            ..Default::default()
+        },
     )
 }
 
@@ -107,14 +113,28 @@ fn fault_trajectories_are_thread_count_invariant() {
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let inst = instance(64, 1);
     let script = chaos_script(64);
+    // An explicitly compiled empty plan must take no fault path: at
+    // every worker count it reproduces the default (fault-free) inputs.
+    let empty = FaultPlan::new().compile(5, 64);
+    assert!(empty.is_empty());
+    let empty_is_clean = |label: &str| {
+        assert_eq!(
+            fingerprint(&simulate_faulted(&inst, &empty)),
+            fingerprint(&simulate(&inst)),
+            "{label}: empty script diverged from the default inputs"
+        );
+    };
     std::env::set_var("DLB_THREADS", "1");
     let one = fingerprint(&simulate_faulted(&inst, &script));
     let one_faults = simulate_faulted(&inst, &script).faults;
+    empty_is_clean("DLB_THREADS=1");
     std::env::set_var("DLB_THREADS", "4");
     let four = fingerprint(&simulate_faulted(&inst, &script));
     let four_faults = simulate_faulted(&inst, &script).faults;
+    empty_is_clean("DLB_THREADS=4");
     std::env::remove_var("DLB_THREADS");
     let default = fingerprint(&simulate_faulted(&inst, &script));
+    empty_is_clean("default DLB_THREADS");
     assert_eq!(one, four, "faulted DLB_THREADS=1 vs 4 diverged");
     assert_eq!(one, default, "faulted pinned vs default diverged");
     assert_eq!(one_faults, four_faults, "fault summaries diverged");

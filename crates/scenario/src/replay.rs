@@ -6,9 +6,9 @@
 //! trailer stores the run's outcomes (`event_hash`, final cost, round
 //! and exchange counts, virtual time). Replay re-parses the header,
 //! rebuilds the instance from the spec's seed, reruns the full event
-//! executor with a [`MemorySink`](dlb_obs::MemorySink) attached, and
-//! compares *everything*: the event stream byte for byte, the event
-//! hash, and the trailer outcomes bit for bit (`f64` via `to_bits`).
+//! executor with a [`MemorySink`] attached, and compares *everything*:
+//! the event stream byte for byte, the event hash, and the trailer
+//! outcomes bit for bit (`f64` via `to_bits`).
 //!
 //! Because the executor is deterministic on the virtual clock — one
 //! seed, one event order, regardless of `DLB_THREADS` — a divergence
@@ -17,7 +17,7 @@
 //! Either way [`ReplayReport::divergence`] names the first point of
 //! disagreement instead of a bare boolean.
 
-use dlb_obs::{FrameLog, MemorySink, TraceEvent, Trailer};
+use dlb_obs::{Compact, FrameLog, MemorySink, TraceEvent, Trailer};
 
 use crate::runner::run_protocol_events;
 use crate::spec::{AlgoSpec, RuntimeSpec, ScenarioSpec, SpecError, TraceSpec};
@@ -61,8 +61,8 @@ fn event_divergence(i: usize, rec: &TraceEvent, rep: &TraceEvent) -> Option<Stri
         return Some(format!(
             "event {i} ({}): recorded at {} ms vs replayed at {} ms",
             rec.kind.label(),
-            rec.at_ms,
-            rep.at_ms
+            Compact(rec.at_ms),
+            Compact(rep.at_ms)
         ));
     }
     if (rec.node, rec.peer, rec.round, rec.tag) != (rep.node, rep.peer, rep.round, rep.tag) {
@@ -77,8 +77,8 @@ fn event_divergence(i: usize, rec: &TraceEvent, rep: &TraceEvent) -> Option<Stri
         return Some(format!(
             "event {i} ({}): recorded detail {} vs replayed {}",
             rec.kind.label(),
-            rec.detail,
-            rep.detail
+            Compact(rec.detail),
+            Compact(rep.detail)
         ));
     }
     None
@@ -115,7 +115,8 @@ fn find_divergence(
     if rec.final_cost.to_bits() != replayed_trailer.final_cost.to_bits() {
         return Some(format!(
             "final_cost: recorded {} vs replayed {}",
-            rec.final_cost, replayed_trailer.final_cost
+            Compact(rec.final_cost),
+            Compact(replayed_trailer.final_cost)
         ));
     }
     if rec.rounds != replayed_trailer.rounds {
@@ -133,7 +134,8 @@ fn find_divergence(
     if rec.virtual_ms.to_bits() != replayed_trailer.virtual_ms.to_bits() {
         return Some(format!(
             "virtual_ms: recorded {} vs replayed {}",
-            rec.virtual_ms, replayed_trailer.virtual_ms
+            Compact(rec.virtual_ms),
+            Compact(replayed_trailer.virtual_ms)
         ));
     }
     None
@@ -258,6 +260,61 @@ mod tests {
             divergence.starts_with(&format!("event {idx}")),
             "unexpected divergence: {divergence}"
         );
+    }
+
+    /// A bit-flipped subnormal, a huge value, and NaN each keep the
+    /// divergence message short, in every field that prints an `f64`.
+    #[test]
+    fn divergence_messages_stay_short_on_extreme_floats() {
+        let event = TraceEvent {
+            kind: TraceKind::FrameDelivered,
+            at_ms: 123.456,
+            node: 3,
+            peer: 7,
+            round: 2,
+            tag: 2,
+            detail: 4.5,
+        };
+        let trailer = Trailer {
+            event_hash: 1,
+            final_cost: 1234.5,
+            rounds: 3,
+            exchanges: 4,
+            virtual_ms: 99.5,
+        };
+        let log = FrameLog {
+            spec: String::new(),
+            events: Vec::new(),
+            trailer,
+        };
+        for x in [f64::from_bits(1), 1e300, f64::NAN] {
+            let messages = [
+                event_divergence(0, &event, &TraceEvent { at_ms: x, ..event }),
+                event_divergence(0, &event, &TraceEvent { detail: x, ..event }),
+                find_divergence(
+                    &log,
+                    &[],
+                    1,
+                    &Trailer {
+                        final_cost: x,
+                        ..trailer
+                    },
+                ),
+                find_divergence(
+                    &log,
+                    &[],
+                    1,
+                    &Trailer {
+                        virtual_ms: x,
+                        ..trailer
+                    },
+                ),
+            ];
+            for message in messages {
+                let message = message.expect("the values differ");
+                assert!(message.len() < 160, "{} chars: {message}", message.len());
+            }
+        }
     }
 
     #[test]

@@ -19,8 +19,8 @@ use dlb_netsim::rtt::QueueModel;
 use dlb_netsim::LinkDelayModel;
 use dlb_obs::{FrameLog, MemorySink, MetricSet, NullSink, ObsSummary, TraceSink, Trailer};
 use dlb_runtime::{
-    run_cluster, run_cluster_events_observed, ClusterOptions, ClusterReport, DetectMode,
-    DetectorSummary, NodeConfig, SelectPolicy, StreamSummary, VirtualClock,
+    run_cluster, run_cluster_events, ClusterOptions, ClusterReport, DetectMode, DetectorSummary,
+    EventInputs, NodeConfig, SelectPolicy, StreamSummary,
 };
 use dlb_solver::solve_bcd;
 
@@ -346,15 +346,12 @@ pub(crate) fn run_protocol_events<T: TraceSink>(
     let stream = spec
         .arrivals
         .compile(spec.seed, spec.duration, instance.own_loads());
-    run_cluster_events_observed(
-        instance,
-        &options,
-        |i, j| delays.one_way_ms(i, j),
-        &script,
-        &stream,
-        &mut VirtualClock,
+    let inputs = EventInputs {
+        faults: Some(&script),
+        stream: Some(&stream),
         tracer,
-    )
+    };
+    run_cluster_events(instance, &options, |i, j| delays.one_way_ms(i, j), inputs)
 }
 
 impl Runner for ProtocolRunner {

@@ -74,9 +74,9 @@
 //! ```
 //!
 //! The same pattern is available below the scenario layer as
-//! [`runtime::run_cluster_events`] (pass any `delay(i, j)` function),
-//! and [`runtime::clock::WallClock`] replays an identical schedule in
-//! real time.
+//! [`runtime::run_cluster_events`]: pass any `delay(i, j)` function,
+//! plus [`runtime::EventInputs`] for faults, a request stream, or a
+//! trace sink.
 //!
 //! ## Scaling partner selection: `select=topk:K`
 //!
@@ -137,7 +137,7 @@
 //! balancing; a victim's ledger freezes so conservation stays exact),
 //! loss and spikes stretch the simulated protocol time the record
 //! reports, and the same script can gate the gossip layer
-//! ([`gossip::EventGossip::run_faulted`]) to measure
+//! ([`gossip::GossipInputs::faults`]) to measure
 //! dissemination-under-churn in virtual ms. The shell form is
 //! `dlb run algo=protocol runtime=events faults=crash:0.1@500ms,loss:0.05 m=2000`.
 //!
@@ -360,8 +360,8 @@ pub mod prelude {
     pub use dlb_obs::{FrameLog, MetricSet, ObsSummary, TraceEvent, TraceKind, TraceSink, Trailer};
     pub use dlb_requestsim::stream::{ArrivalPlan, StreamScript};
     pub use dlb_runtime::{
-        run_cluster, run_cluster_events, run_cluster_events_faulted, run_cluster_events_streamed,
-        ClusterOptions, DetectMode, DetectorSummary, StreamSummary, VirtualClock,
+        run_cluster, run_cluster_events, ClusterOptions, DetectMode, DetectorSummary, EventInputs,
+        StreamSummary,
     };
     pub use dlb_scenario::{
         replay_frame_log, AlgoSpec, DetectSpec, GossipSpec, NetSpec, ReplayReport, RunRecord,

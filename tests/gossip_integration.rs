@@ -4,7 +4,7 @@
 
 use delay_lb::distributed::mine::PartnerSelection;
 use delay_lb::gossip::wire::{decode, encode, WireEntry};
-use delay_lb::gossip::{GossipNetwork, PushSumNetwork};
+use delay_lb::gossip::GossipNetwork;
 use delay_lb::prelude::*;
 
 #[test]
@@ -27,25 +27,6 @@ fn gossip_views_converge_to_real_loads() {
     for node in 0..64 {
         assert_eq!(gossip.view(node), a.loads());
     }
-}
-
-#[test]
-fn push_sum_estimates_average_load() {
-    let mut rng = delay_lb::core::rngutil::rng_for(2, 1301);
-    let instance = WorkloadSpec {
-        loads: LoadDistribution::Uniform,
-        avg_load: 100.0,
-        speeds: SpeedDistribution::Constant(1.0),
-    }
-    .sample(LatencyMatrix::homogeneous(100, 20.0), &mut rng);
-    let mut net = PushSumNetwork::new(instance.own_loads(), 5);
-    let true_avg = instance.average_load();
-    let rounds = net.run_until(true_avg, 1e-4, 1000);
-    assert!(rounds <= 120, "push-sum took {rounds} rounds");
-    // Every node can now evaluate the Theorem 1 PoA band locally.
-    let (lo, hi) = theorem1_bounds(20.0, 1.0, net.estimate(0));
-    let (lo_true, hi_true) = theorem1_bounds(20.0, 1.0, true_avg);
-    assert!((lo - lo_true).abs() < 1e-3 && (hi - hi_true).abs() < 1e-3);
 }
 
 #[test]
