@@ -4,7 +4,7 @@
 
 use delay_lb::distributed::mine::PartnerSelection;
 use delay_lb::gossip::wire::{decode, encode, WireEntry};
-use delay_lb::gossip::GossipNetwork;
+use delay_lb::gossip::{EventGossip, EventGossipConfig, GossipInputs, GossipNetwork};
 use delay_lb::prelude::*;
 
 #[test]
@@ -26,6 +26,33 @@ fn gossip_views_converge_to_real_loads() {
     );
     for node in 0..64 {
         assert_eq!(gossip.view(node), a.loads());
+    }
+}
+
+#[test]
+fn event_gossip_gives_every_node_the_theorem1_band() {
+    let mut rng = delay_lb::core::rngutil::rng_for(2, 1301);
+    let instance = WorkloadSpec {
+        loads: LoadDistribution::Uniform,
+        avg_load: 100.0,
+        speeds: SpeedDistribution::Constant(1.0),
+    }
+    .sample(LatencyMatrix::homogeneous(100, 20.0), &mut rng);
+    let mut net = EventGossip::new(instance.own_loads(), 5);
+    let stats = net.run(
+        &EventGossipConfig::default(),
+        |i, j| instance.c(i, j) / 2.0,
+        GossipInputs::default(),
+    );
+    assert!(stats.complete, "gossip stopped at {} ms", stats.virtual_ms);
+    // Every node can now evaluate the Theorem 1 PoA band locally.
+    let true_avg = instance.average_load();
+    let (lo_true, hi_true) = theorem1_bounds(20.0, 1.0, true_avg);
+    for node in 0..100 {
+        let view = net.view(node);
+        let avg = view.iter().sum::<f64>() / view.len() as f64;
+        let (lo, hi) = theorem1_bounds(20.0, 1.0, avg);
+        assert!((lo - lo_true).abs() < 1e-9 && (hi - hi_true).abs() < 1e-9);
     }
 }
 
