@@ -19,6 +19,7 @@ use dlb_bench::results::{JsonlSink, Record};
 use dlb_gossip::wire::view_bytes;
 use dlb_gossip::{
     DeltaGossip, DeltaGossipConfig, EventGossip, EventGossipConfig, GossipInputs, GossipNetwork,
+    NullSink,
 };
 use dlb_scenario::{AlgoSpec, GossipSpec, NetSpec, ScenarioSpec};
 
@@ -92,7 +93,7 @@ fn main() {
             net.publish(((r as usize) * 97 + k * 101) % m, r as f64 + k as f64);
         }
         let until = net.now_ms() + period;
-        net.advance(until, |_, _| 10.0);
+        net.advance(until, |_, _| 10.0, &mut NullSink);
     }
     let before = net.traffic();
     let rounds = 20u64;
@@ -101,7 +102,7 @@ fn main() {
             net.publish(((r as usize) * 97 + k * 101) % m, r as f64 + k as f64);
         }
         let until = net.now_ms() + period;
-        net.advance(until, |_, _| 10.0);
+        net.advance(until, |_, _| 10.0, &mut NullSink);
     }
     let t = net.traffic().since(&before);
     let delta_per_round = t.bytes / rounds;

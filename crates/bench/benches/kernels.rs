@@ -8,7 +8,7 @@ use dlb_bench::{sample_instance, NetworkKind};
 use dlb_core::cost::total_cost;
 use dlb_core::workload::{LoadDistribution, SpeedDistribution};
 use dlb_core::Assignment;
-use dlb_distributed::mine::{mine_step, PartnerSelection};
+use dlb_distributed::mine::{mine_step, MineParams, PartnerSelection};
 use dlb_distributed::transfer::calc_best_transfer;
 use dlb_flow::ssp::min_cost_max_flow;
 use dlb_flow::FlowNetwork;
@@ -28,7 +28,7 @@ fn bench_transfer(c: &mut Criterion) {
         );
         let a = Assignment::local(&instance);
         group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
-            b.iter(|| calc_best_transfer(&instance, a.ledger(0), a.ledger(1), 0, 1))
+            b.iter(|| calc_best_transfer(&instance, a.ledger(0), a.ledger(1), 0, 1, 0.0))
         });
     }
     group.finish();
@@ -46,10 +46,16 @@ fn bench_mine_step(c: &mut Criterion) {
             2,
         );
         let a = Assignment::local(&instance);
+        let params = MineParams {
+            selection: PartnerSelection::Exact,
+            min_improvement: 1e-9,
+            parallel: false,
+            granularity: 0.0,
+        };
         group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
             b.iter_batched(
                 || a.clone(),
-                |mut a| mine_step(&instance, &mut a, 0, PartnerSelection::Exact, 1e-9, false),
+                |mut a| mine_step(&instance, &mut a, 0, &params, None),
                 BatchSize::SmallInput,
             )
         });

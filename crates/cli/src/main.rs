@@ -367,6 +367,16 @@ fn cmd_estimate(args: &Args) -> Result<(), ArgError> {
     let seed = args.get_u64("seed", 1)?;
     let ticks = args.get_usize("ticks", 50)?;
     let probes = args.get_usize("probes", 4)?;
+    if m < 2 {
+        return Err(ArgError(format!(
+            "--servers: {m} is too few (estimation measures pairs; need at least 2)"
+        )));
+    }
+    if ticks == 0 {
+        return Err(ArgError(
+            "--ticks: must be at least 1 (the error table reports one row per tick)".into(),
+        ));
+    }
     let truth = ScenarioSpec::new()
         .net(NetSpec::Pl)
         .servers(m)

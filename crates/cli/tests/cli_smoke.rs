@@ -266,3 +266,24 @@ fn bad_specs_and_missing_files_fail_cleanly() {
     assert!(!output.status.success());
     assert!(String::from_utf8_lossy(&output.stderr).contains("twice"));
 }
+
+#[test]
+fn estimate_rejects_degenerate_sizes() {
+    for (args, needle) in [
+        (["--servers", "0"], "--servers"),
+        (["--servers", "1"], "--servers"),
+        (["--ticks", "0"], "--ticks"),
+    ] {
+        let output = dlb().arg("estimate").args(args).output().unwrap();
+        assert_eq!(output.status.code(), Some(1), "estimate {args:?}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(needle),
+            "estimate {args:?}: {stderr}"
+        );
+        assert!(
+            output.stdout.is_empty(),
+            "estimate {args:?} printed a table"
+        );
+    }
+}

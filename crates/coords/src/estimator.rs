@@ -169,10 +169,12 @@ impl Estimator {
     }
 
     /// Median relative error of the estimates against the (symmetrized,
-    /// one-way) ground truth — Vivaldi's standard accuracy metric.
+    /// one-way) ground truth — Vivaldi's standard accuracy metric. NaN
+    /// when no pair has a positive finite latency to measure against
+    /// (in particular for fewer than two nodes).
     pub fn median_relative_error(&self, truth: &LatencyMatrix) -> f64 {
         let m = self.coords.len();
-        let mut errs = Vec::with_capacity(m * (m - 1) / 2);
+        let mut errs = Vec::with_capacity(m * m.saturating_sub(1) / 2);
         for i in 0..m {
             for j in (i + 1)..m {
                 let t = 0.5 * (truth.get(i, j) + truth.get(j, i));
@@ -184,7 +186,7 @@ impl Estimator {
             }
         }
         if errs.is_empty() {
-            return 0.0;
+            return f64::NAN;
         }
         errs.sort_by(|a, b| a.partial_cmp(b).expect("finite errors"));
         errs[errs.len() / 2]
@@ -258,6 +260,17 @@ mod tests {
         };
         assert!(noisy < 0.35, "noisy error {noisy} out of control");
         assert!(clean <= noisy + 0.05, "clean {clean} vs noisy {noisy}");
+    }
+
+    #[test]
+    fn median_error_is_nan_without_a_measurable_pair() {
+        for m in [0, 1] {
+            let truth = LatencyMatrix::zero(m);
+            let mut est = Estimator::new(m, EstimatorConfig::default());
+            assert!(est.median_relative_error(&truth).is_nan(), "m={m}");
+            est.run(&truth, 3);
+            assert!(est.median_relative_error(&truth).is_nan(), "m={m}");
+        }
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! `ΣC` history, which the experiment harnesses use to reproduce
 //! Tables I/II and Figure 2, and supports:
 //!
-//! * exact or pruned partner selection (see [`crate::mine`]),
+//! * exact or pruned partner selection (see [`crate::mine`]): by
+//!   default exact up to 400 servers and `Pruned { top_k: 8 }` above,
+//!   or whatever [`EngineOptions::selection`] fixes,
 //! * two round execution models ([`RoundMode`]):
 //!   [`RoundMode::Sequential`] visits servers one at a time exactly as
 //!   §VI-B prescribes, while [`RoundMode::Batched`] executes the same
@@ -32,6 +34,12 @@
 //! [`COST_RESYNC_EVERY`] iterations — and after structural rewrites
 //! like cycle removal — while debug builds verify every single
 //! iteration against a full recompute to 1e-6 relative.
+//!
+//! Each iteration builds one [`MineParams`] — the partner policy, the
+//! improvement threshold (`1e-12` of the initial `ΣC`), the parallel
+//! flag and the transfer quantum — and hands it to every server's
+//! [`choose_partner`] call, in either round mode. The server order is
+//! reshuffled every iteration from the seeded RNG.
 
 use dlb_core::cost::{total_cost, CostTracker};
 use dlb_core::rngutil::rng_for;
@@ -41,7 +49,7 @@ use rand::seq::SliceRandom;
 
 use crate::cycles::remove_negative_cycles;
 use crate::feed::GossipFeed;
-use crate::mine::{choose_partner_outcome_scratch_g, PartnerScratch, PartnerSelection};
+use crate::mine::{choose_partner, MineParams, PartnerScratch, PartnerSelection};
 use crate::round::{run_batched_round, RoundMode, ScoreView};
 use dlb_gossip::GossipTraffic;
 
@@ -51,22 +59,30 @@ use dlb_gossip::GossipTraffic;
 /// far inside [`CostTracker::DRIFT_TOL`] between resyncs.
 pub const COST_RESYNC_EVERY: usize = 64;
 
+/// Network size up to which the default partner policy
+/// (`EngineOptions::selection == None`) evaluates every partner
+/// exactly; larger networks use [`PartnerSelection::Pruned`] with
+/// [`PRUNED_TOP_K`] candidates.
+const EXACT_THRESHOLD: usize = 400;
+
+/// Candidates the default policy evaluates exactly above
+/// [`EXACT_THRESHOLD`] servers.
+const PRUNED_TOP_K: usize = 8;
+
+/// Improvement below which an exchange is skipped, relative to the
+/// initial `ΣC` (scaled by it when each iteration's [`MineParams`] are
+/// built).
+const MIN_IMPROVEMENT_REL: f64 = 1e-12;
+
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineOptions {
-    /// Partner-selection policy. The default switches to pruned mode
-    /// above [`EngineOptions::exact_threshold`] servers.
+    /// Partner-selection policy. `None` (the default) evaluates every
+    /// partner exactly up to 400 servers and switches to
+    /// `Pruned { top_k: 8 }` above that.
     pub selection: Option<PartnerSelection>,
-    /// Network size above which the default policy uses pruning.
-    pub exact_threshold: usize,
-    /// Candidates evaluated exactly in pruned mode.
-    pub pruned_top_k: usize,
-    /// Absolute improvement below which an exchange is skipped,
-    /// relative to the initial cost (scaled internally).
-    pub min_improvement_rel: f64,
-    /// Randomize the server order each iteration (the paper's setting).
-    pub shuffle: bool,
-    /// RNG seed for the iteration order.
+    /// RNG seed for the iteration order, which is shuffled afresh every
+    /// iteration (the paper's setting).
     pub seed: u64,
     /// Evaluate partner improvements in parallel.
     pub parallel: bool,
@@ -102,10 +118,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         Self {
             selection: None,
-            exact_threshold: 400,
-            pruned_top_k: 8,
-            min_improvement_rel: 1e-12,
-            shuffle: true,
             seed: 0,
             parallel: true,
             cycle_removal_every: None,
@@ -241,18 +253,21 @@ impl Engine {
         self.iteration
     }
 
-    fn selection(&self) -> PartnerSelection {
-        match self.options.selection {
-            Some(s) => s,
-            None => {
-                if self.instance.len() <= self.options.exact_threshold {
-                    PartnerSelection::Exact
-                } else {
-                    PartnerSelection::Pruned {
-                        top_k: self.options.pruned_top_k,
-                    }
-                }
-            }
+    /// The per-step constants every server's MinE step uses this
+    /// iteration.
+    fn mine_params(&self) -> MineParams {
+        let selection = match self.options.selection {
+            Some(selection) => selection,
+            None if self.instance.len() <= EXACT_THRESHOLD => PartnerSelection::Exact,
+            None => PartnerSelection::Pruned {
+                top_k: PRUNED_TOP_K,
+            },
+        };
+        MineParams {
+            selection,
+            min_improvement: MIN_IMPROVEMENT_REL * self.cost_scale,
+            parallel: self.options.parallel,
+            granularity: self.options.granularity,
         }
     }
 
@@ -276,9 +291,7 @@ impl Engine {
             Some(mask) => (0..m).filter(|&i| mask[i]).collect(),
             None => (0..m).collect(),
         };
-        if self.options.shuffle {
-            order.shuffle(&mut self.rng);
-        }
+        order.shuffle(&mut self.rng);
         if self.options.load_staleness == 0
             || self
                 .iteration
@@ -292,12 +305,9 @@ impl Engine {
             // run its ⌈log2 m⌉ periods before this iteration scores.
             feed.step(self.instance.latency(), self.assignment.loads());
         }
-        let selection = self.selection();
-        let min_improvement = self.options.min_improvement_rel * self.cost_scale;
+        let params = self.mine_params();
         let (moved, exchanges, cost_delta) = match self.options.round_mode {
-            RoundMode::Sequential => {
-                self.sequential_round(&order, active, selection, min_improvement)
-            }
+            RoundMode::Sequential => self.sequential_round(&order, active, &params),
             RoundMode::Batched => {
                 let score = if let Some(feed) = self.feed.as_ref() {
                     ScoreView::PerServer(feed.views())
@@ -310,11 +320,8 @@ impl Engine {
                     &self.instance,
                     &mut self.assignment,
                     &order,
-                    selection,
-                    min_improvement,
-                    self.options.parallel,
+                    &params,
                     active,
-                    self.options.granularity,
                     score,
                 );
                 (outcome.moved, outcome.exchanges, outcome.cost_delta)
@@ -358,8 +365,7 @@ impl Engine {
         &mut self,
         order: &[usize],
         active: Option<&[bool]>,
-        selection: PartnerSelection,
-        min_improvement: f64,
+        params: &MineParams,
     ) -> (f64, usize, f64) {
         let m = self.instance.len();
         let mut moved = 0.0;
@@ -391,15 +397,12 @@ impl Engine {
             } else {
                 None
             };
-            let choice = choose_partner_outcome_scratch_g(
+            let choice = choose_partner(
                 &self.instance,
                 &self.assignment,
                 id,
-                selection,
-                min_improvement,
-                self.options.parallel,
+                params,
                 active,
-                self.options.granularity,
                 score_loads,
                 &mut self.scratch,
             );
@@ -902,10 +905,9 @@ mod tests {
         assert!(hits_loose <= hits_exact.unwrap());
     }
 
-    #[test]
-    fn heterogeneous_latency_network() {
-        let mut rng = rng_for(71, 8);
-        let m = 16;
+    /// An exponential-load instance on i.i.d. 1–60 ms pairwise
+    /// latencies, optionally metric-closed.
+    fn heterogeneous_instance(m: usize, rng: &mut StdRng, close: bool) -> Instance {
         let mut lat = LatencyMatrix::zero(m);
         for i in 0..m {
             for j in 0..m {
@@ -914,8 +916,15 @@ mod tests {
                 }
             }
         }
-        lat.metric_close();
-        let instance = spec(50.0, LoadDistribution::Exponential).sample(lat, &mut rng);
+        if close {
+            lat.metric_close();
+        }
+        spec(50.0, LoadDistribution::Exponential).sample(lat, rng)
+    }
+
+    #[test]
+    fn heterogeneous_latency_network() {
+        let instance = heterogeneous_instance(16, &mut rng_for(71, 8), true);
         let mut engine = Engine::new(instance.clone(), seq_opts(6));
         let report = engine.run_to_convergence(1e-10, 2, 100);
         let (_, pgd) = solve_pgd(&instance, &PgdOptions::default());
@@ -925,5 +934,39 @@ mod tests {
             report.final_cost,
             pgd.objective
         );
+    }
+
+    #[test]
+    fn default_selection_is_exact_up_to_400_servers_then_pruned_top_8() {
+        // One iteration under `selection: None` against the explicit
+        // policy the default should resolve to, on either side of the
+        // switch. The instance must also separate that policy from its
+        // neighbours (exact, top-7, top-9), or the pin could not tell
+        // them apart.
+        let one_iteration = |m: usize, selection: Option<PartnerSelection>| {
+            let instance = heterogeneous_instance(m, &mut rng_for(16, 9), false);
+            let mut engine = Engine::new(
+                instance,
+                EngineOptions {
+                    selection,
+                    seed: 3,
+                    ..Default::default()
+                },
+            );
+            let stats = engine.run_iteration();
+            (stats, engine.assignment().clone())
+        };
+        let exact = Some(PartnerSelection::Exact);
+        let pruned = |top_k| Some(PartnerSelection::Pruned { top_k });
+        assert_eq!(one_iteration(400, None), one_iteration(400, exact));
+        let default_401 = one_iteration(401, None);
+        assert_eq!(default_401, one_iteration(401, pruned(8)));
+        for other in [exact, pruned(7), pruned(9)] {
+            assert_ne!(
+                default_401,
+                one_iteration(401, other),
+                "{other:?} iterates like the default on this instance"
+            );
+        }
     }
 }

@@ -28,7 +28,7 @@
 //! appears once loads start moving.
 
 use dlb_core::LatencyMatrix;
-use dlb_gossip::{DeltaGossip, DeltaGossipConfig, GossipTraffic};
+use dlb_gossip::{DeltaGossip, DeltaGossipConfig, GossipTraffic, NullSink};
 
 /// Drives a [`DeltaGossip`] network in lockstep with the engine's
 /// iterations and serves per-server load views (see the module docs).
@@ -96,7 +96,8 @@ impl GossipFeed {
             }
         }
         let until = self.net.now_ms() + self.period_ms * f64::from(self.periods_per_iter);
-        self.net.advance(until, |i, j| latency.get(i, j) / 2.0);
+        self.net
+            .advance(until, |i, j| latency.get(i, j) / 2.0, &mut NullSink);
         for (i, view) in self.views.iter_mut().enumerate() {
             self.net.view_into(i, view);
         }

@@ -7,14 +7,18 @@
 //!   pairwise exchange between two servers, derived from Lemma 1's
 //!   closed-form transfer `Δr = (s_j l_i − s_i l_j − s_i s_j (c_kj −
 //!   c_ki)) / (s_i + s_j)` applied per owning organization in ascending
-//!   `c_kj − c_ki` order,
+//!   `c_kj − c_ki` order; one entry point,
+//!   [`calc_best_transfer`], with the transfer quantum as an argument,
 //! * [`mine`] — **Algorithm 2** (Min-Error): each server picks the
 //!   partner with the largest exact improvement and exchanges requests
-//!   with it,
+//!   with it; one entry point, [`mine::choose_partner`], configured by
+//!   one [`mine::MineParams`] (and [`mine::mine_step`], the choice
+//!   plus its install),
 //! * [`engine`] — the iteration engine used in all experiments: in each
 //!   iteration every server (in random order) executes Algorithm 2;
 //!   includes the pruned partner-selection mode that keeps Figure 2's
-//!   5000-server runs tractable, plus incremental `ΣC` tracking,
+//!   5000-server runs tractable (the default above 400 servers), plus
+//!   incremental `ΣC` tracking,
 //! * [`round`] — the batched propose/match/apply round
 //!   ([`RoundMode::Batched`]): one outer-parallel partner-choice pass
 //!   over all servers, a deterministic conflict-free matching, and

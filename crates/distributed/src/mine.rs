@@ -9,20 +9,23 @@
 //! partners with a closed-form bound and evaluates only the top `K`
 //! candidates exactly. At table scale (`m ≤ 300`) the two modes pick
 //! identical partners in virtually every step (property-tested).
+//!
+//! The step has one entry point, [`choose_partner`]: the argmax and
+//! the winning exchange's [`TransferOutcome`], not yet installed.
+//! [`mine_step`] is the same choice followed by the install. The
+//! per-step constants — selection policy, improvement threshold,
+//! parallel evaluation and transfer quantum — travel together in one
+//! [`MineParams`].
 
 use dlb_core::{Assignment, Instance};
 
-use crate::transfer::{calc_best_transfer_g, TransferOutcome};
+use crate::transfer::{calc_best_transfer, TransferOutcome};
 
 /// Exact improvement `impr(i, j)`: the `ΣC` reduction Algorithm 1 would
-/// achieve on the pair, computed on scratch copies.
-pub fn improvement(instance: &Instance, a: &Assignment, i: usize, j: usize) -> f64 {
-    improvement_g(instance, a, i, j, 0.0)
-}
-
-/// [`improvement`] under a transfer quantum (see
-/// [`crate::transfer::calc_best_transfer_g`]).
-pub fn improvement_g(
+/// achieve on the pair under the transfer quantum `granularity` (see
+/// [`calc_best_transfer`]; `0.0` is the continuous algorithm), computed
+/// on scratch copies.
+pub fn improvement(
     instance: &Instance,
     a: &Assignment,
     i: usize,
@@ -32,7 +35,7 @@ pub fn improvement_g(
     if i == j {
         return 0.0;
     }
-    calc_best_transfer_g(instance, a.ledger(i), a.ledger(j), i, j, granularity).improvement
+    calc_best_transfer(instance, a.ledger(i), a.ledger(j), i, j, granularity).improvement
 }
 
 /// Closed-form partner score: the gain of moving one optimal
@@ -87,7 +90,24 @@ pub enum PartnerSelection {
     },
 }
 
-/// Reusable per-caller buffers for [`choose_partner_scratch_g`].
+/// The per-step constants of Algorithm 2, shared by every server of
+/// an iteration.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct MineParams {
+    /// How candidates are chosen for exact evaluation.
+    pub selection: PartnerSelection,
+    /// Absolute improvement threshold at or below which an exchange is
+    /// treated as noise and skipped.
+    pub min_improvement: f64,
+    /// Evaluate candidates over the `dlb-par` pool.
+    pub parallel: bool,
+    /// Transfer quantum of Algorithm 1 (`0.0` = continuous): a
+    /// positive choice is always evaluated with the same quantized
+    /// exchange it will apply, so it corresponds to a real move.
+    pub granularity: f64,
+}
+
+/// Reusable per-caller buffers for [`choose_partner`].
 ///
 /// One MinE step allocates a candidate list, a score table, and an
 /// improvement table; at Figure-2 scale the engine runs millions of
@@ -112,136 +132,46 @@ pub struct MineOutcome {
     pub moved: f64,
 }
 
-/// Executes Algorithm 2 for server `id`: picks
-/// `argmax_j impr(id, j)` under the given selection policy and applies
-/// the exchange when it strictly improves `ΣC`.
-///
-/// `min_improvement` is the absolute improvement threshold below which
-/// an exchange is considered noise and skipped.
-pub fn mine_step(
-    instance: &Instance,
-    a: &mut Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-) -> MineOutcome {
-    mine_step_masked(instance, a, id, selection, min_improvement, parallel, None)
-}
-
-/// Computes the MinE partner choice without applying it:
+/// Computes server `id`'s MinE partner choice without applying it:
 /// `argmax_j impr(id, j)` over the reachable candidates, exactly as
-/// Algorithm 2 prescribes. Returns `None` when no partner strictly
-/// improves `ΣC`.
-pub fn choose_partner(
-    instance: &Instance,
-    a: &Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-    active: Option<&[bool]>,
-) -> Option<(usize, f64)> {
-    choose_partner_g(
-        instance,
-        a,
-        id,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        0.0,
-    )
-}
-
-/// [`choose_partner`] under a transfer quantum: improvements are
-/// evaluated with the same quantized Algorithm 1 that the exchange
-/// will apply, so a positive choice always corresponds to a real move.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_partner_g(
-    instance: &Instance,
-    a: &Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-    active: Option<&[bool]>,
-    granularity: f64,
-) -> Option<(usize, f64)> {
-    let mut scratch = PartnerScratch::default();
-    choose_partner_scratch_g(
-        instance,
-        a,
-        id,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        granularity,
-        None,
-        &mut scratch,
-    )
-}
-
-/// [`choose_partner_g`] with caller-provided scratch buffers — the
-/// allocation-free form the engine's hot loops use.
+/// Algorithm 2 prescribes. Returns the partner and the full
+/// [`TransferOutcome`] of the winning exchange, or `None` when no
+/// partner improves `ΣC` by more than `params.min_improvement`.
+///
+/// `active[j] == false` marks server `j` as failed or partitioned this
+/// round. Because every exchange involves exactly two servers, the
+/// algorithm keeps making progress with whatever subset is reachable —
+/// the robustness property the paper argues for in §IV.
 ///
 /// `score_loads` optionally overrides the load vector used by the
-/// pruned mode's closed-form *pre-scoring* (the engine passes its
-/// gossip-stale snapshot here when `load_staleness > 0`). The exact
-/// Algorithm-1 evaluation of the surviving candidates always runs on
-/// the live ledgers, so a positive choice still corresponds to a real
-/// improving exchange — staleness can only misrank candidates, exactly
-/// like a real dissemination layer.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_partner_scratch_g(
-    instance: &Instance,
-    a: &Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-    active: Option<&[bool]>,
-    granularity: f64,
-    score_loads: Option<&[f64]>,
-    scratch: &mut PartnerScratch,
-) -> Option<(usize, f64)> {
-    choose_partner_outcome_scratch_g(
-        instance,
-        a,
-        id,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        granularity,
-        score_loads,
-        scratch,
-    )
-    .map(|(j, outcome)| (j, outcome.improvement))
-}
-
-/// [`choose_partner_scratch_g`] returning the winning exchange's full
-/// [`TransferOutcome`] instead of just its improvement.
+/// pruned mode's closed-form *pre-scoring* (the engine passes a
+/// gossip-stale view here). The exact Algorithm-1 evaluation of the
+/// surviving candidates always runs on the live ledgers, so a positive
+/// choice still corresponds to a real improving exchange — staleness
+/// can only misrank candidates, exactly like a real dissemination
+/// layer.
 ///
 /// Algorithm 2's evaluation already runs Algorithm 1 against every
 /// candidate, so the chosen partner's post-exchange ledgers exist the
 /// moment the argmax is known; returning them lets callers (the
 /// engine's sequential sweep and the batched round's apply phase)
-/// install the exchange without recomputing it.
-#[allow(clippy::too_many_arguments)]
-pub fn choose_partner_outcome_scratch_g(
+/// install the exchange without recomputing it. `scratch` holds the
+/// candidate buffers, reused across calls.
+pub fn choose_partner(
     instance: &Instance,
     a: &Assignment,
     id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
+    params: &MineParams,
     active: Option<&[bool]>,
-    granularity: f64,
     score_loads: Option<&[f64]>,
     scratch: &mut PartnerScratch,
 ) -> Option<(usize, TransferOutcome)> {
+    let MineParams {
+        selection,
+        min_improvement,
+        parallel,
+        granularity,
+    } = *params;
     let m = instance.len();
     if m < 2 {
         return None;
@@ -312,7 +242,7 @@ pub fn choose_partner_outcome_scratch_g(
     // For finite values the early threshold filter is equivalent to
     // filtering the argmax at the end.
     if parallel {
-        let evaluate = |j: usize| improvement_g(instance, a, id, j, granularity);
+        let evaluate = |j: usize| improvement(instance, a, id, j, granularity);
         improvements.clear();
         improvements.extend(dlb_par::par_map_indexed(candidates.len(), |idx| {
             evaluate(candidates[idx])
@@ -330,7 +260,7 @@ pub fn choose_partner_outcome_scratch_g(
         // The fan-out keeps only the scalar improvements; one extra
         // Algorithm-1 run materializes the winner's ledgers.
         let (j, impr) = best?;
-        let outcome = calc_best_transfer_g(instance, a.ledger(id), a.ledger(j), id, j, granularity);
+        let outcome = calc_best_transfer(instance, a.ledger(id), a.ledger(j), id, j, granularity);
         debug_assert!(
             (outcome.improvement - impr).abs() <= 1e-9 * impr.abs().max(1.0),
             "winner re-evaluation drifted: {impr} vs {}",
@@ -342,7 +272,7 @@ pub fn choose_partner_outcome_scratch_g(
         // winning exchange's ledgers are never computed twice.
         let mut best: Option<(usize, TransferOutcome)> = None;
         for &j in candidates.iter() {
-            let out = calc_best_transfer_g(instance, a.ledger(id), a.ledger(j), id, j, granularity);
+            let out = calc_best_transfer(instance, a.ledger(id), a.ledger(j), id, j, granularity);
             if out.improvement.is_nan() || out.improvement <= min_improvement {
                 continue;
             }
@@ -355,87 +285,24 @@ pub fn choose_partner_outcome_scratch_g(
     }
 }
 
-/// Applies the Algorithm 1 exchange between `id` and `j`, updating both
-/// ledgers in the assignment. Returns the request volume moved.
-pub fn apply_exchange(instance: &Instance, a: &mut Assignment, id: usize, j: usize) -> f64 {
-    apply_exchange_g(instance, a, id, j, 0.0)
-}
-
-/// [`apply_exchange`] under a transfer quantum.
-pub fn apply_exchange_g(
+/// Executes Algorithm 2 for server `id`: [`choose_partner`] with live
+/// scoring loads, then installs the winning exchange.
+pub fn mine_step(
     instance: &Instance,
     a: &mut Assignment,
     id: usize,
-    j: usize,
-    granularity: f64,
-) -> f64 {
-    let outcome = calc_best_transfer_g(instance, a.ledger(id), a.ledger(j), id, j, granularity);
-    let moved = outcome.moved;
-    a.replace_ledger(id, outcome.ledger_i);
-    a.replace_ledger(j, outcome.ledger_j);
-    moved
-}
-
-/// [`mine_step`] restricted to reachable partners: `active[j] == false`
-/// marks server `j` as failed/partitioned this round. Because every
-/// exchange involves exactly two servers, the algorithm keeps making
-/// progress with whatever subset is reachable — the robustness property
-/// the paper argues for in §IV.
-pub fn mine_step_masked(
-    instance: &Instance,
-    a: &mut Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
+    params: &MineParams,
     active: Option<&[bool]>,
-) -> MineOutcome {
-    mine_step_masked_g(
-        instance,
-        a,
-        id,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        0.0,
-    )
-}
-
-/// [`mine_step_masked`] under a transfer quantum.
-#[allow(clippy::too_many_arguments)]
-pub fn mine_step_masked_g(
-    instance: &Instance,
-    a: &mut Assignment,
-    id: usize,
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
-    active: Option<&[bool]>,
-    granularity: f64,
 ) -> MineOutcome {
     let mut scratch = PartnerScratch::default();
-    match choose_partner_outcome_scratch_g(
-        instance,
-        a,
-        id,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        granularity,
-        None,
-        &mut scratch,
-    ) {
+    match choose_partner(instance, a, id, params, active, None, &mut scratch) {
         Some((j, outcome)) => {
-            let moved = outcome.moved;
-            let improvement = outcome.improvement;
             a.replace_ledger(id, outcome.ledger_i);
             a.replace_ledger(j, outcome.ledger_j);
             MineOutcome {
                 partner: Some(j),
-                improvement,
-                moved,
+                improvement: outcome.improvement,
+                moved: outcome.moved,
             }
         }
         None => MineOutcome {
@@ -453,6 +320,26 @@ mod tests {
     use dlb_core::rngutil::rng_for;
     use dlb_core::LatencyMatrix;
     use rand::Rng;
+
+    fn params(selection: PartnerSelection, parallel: bool) -> MineParams {
+        MineParams {
+            selection,
+            min_improvement: 1e-9,
+            parallel,
+            granularity: 0.0,
+        }
+    }
+
+    /// One live-scored, unmasked MinE step.
+    fn step(
+        instance: &Instance,
+        a: &mut Assignment,
+        id: usize,
+        selection: PartnerSelection,
+        parallel: bool,
+    ) -> MineOutcome {
+        mine_step(instance, a, id, &params(selection, parallel), None)
+    }
 
     fn random_instance(m: usize, seed: u64) -> Instance {
         let mut rng = rng_for(seed, 13);
@@ -479,14 +366,14 @@ mod tests {
         let mut best_j = 1;
         let mut best = f64::NEG_INFINITY;
         for j in 1..8 {
-            let v = improvement(&instance, &a, 0, j);
+            let v = improvement(&instance, &a, 0, j, 0.0);
             if v > best {
                 best = v;
                 best_j = j;
             }
         }
         let mut a2 = a.clone();
-        let out = mine_step(&instance, &mut a2, 0, PartnerSelection::Exact, 1e-9, false);
+        let out = step(&instance, &mut a2, 0, PartnerSelection::Exact, false);
         if best > 1e-9 {
             assert_eq!(out.partner, Some(best_j));
             assert!((out.improvement - best).abs() < 1e-9);
@@ -500,7 +387,7 @@ mod tests {
         let instance = random_instance(10, 2);
         let mut a = Assignment::local(&instance);
         let before = total_cost(&instance, &a);
-        let out = mine_step(&instance, &mut a, 0, PartnerSelection::Exact, 1e-9, false);
+        let out = step(&instance, &mut a, 0, PartnerSelection::Exact, false);
         let after = total_cost(&instance, &a);
         assert!(
             (before - after - out.improvement).abs() < 1e-6 * before.max(1.0),
@@ -516,7 +403,7 @@ mod tests {
         // Perfectly balanced homogeneous system: nothing to do.
         let instance = Instance::homogeneous(4, 1.0, 10.0, 20.0);
         let mut a = Assignment::local(&instance);
-        let out = mine_step(&instance, &mut a, 0, PartnerSelection::Exact, 1e-9, false);
+        let out = step(&instance, &mut a, 0, PartnerSelection::Exact, false);
         assert_eq!(out.partner, None);
         assert_eq!(out.moved, 0.0);
     }
@@ -533,20 +420,12 @@ mod tests {
             let a = Assignment::local(&instance);
             let mut a_exact = a.clone();
             let mut a_pruned = a.clone();
-            let exact = mine_step(
-                &instance,
-                &mut a_exact,
-                3,
-                PartnerSelection::Exact,
-                1e-9,
-                false,
-            );
-            let pruned = mine_step(
+            let exact = step(&instance, &mut a_exact, 3, PartnerSelection::Exact, false);
+            let pruned = step(
                 &instance,
                 &mut a_pruned,
                 3,
                 PartnerSelection::Pruned { top_k: 4 },
-                1e-9,
                 false,
             );
             assert_eq!(exact.partner, pruned.partner, "seed {seed}");
@@ -559,20 +438,12 @@ mod tests {
         let a = Assignment::local(&instance);
         let mut a_exact = a.clone();
         let mut a_pruned = a.clone();
-        let exact = mine_step(
-            &instance,
-            &mut a_exact,
-            0,
-            PartnerSelection::Exact,
-            1e-9,
-            false,
-        );
-        let pruned = mine_step(
+        let exact = step(&instance, &mut a_exact, 0, PartnerSelection::Exact, false);
+        let pruned = step(
             &instance,
             &mut a_pruned,
             0,
             PartnerSelection::Pruned { top_k: 8 },
-            1e-9,
             false,
         );
         // The pruned step must achieve at least half the exact gain
@@ -586,22 +457,8 @@ mod tests {
         let a = Assignment::local(&instance);
         let mut a_seq = a.clone();
         let mut a_par = a.clone();
-        let seq = mine_step(
-            &instance,
-            &mut a_seq,
-            5,
-            PartnerSelection::Exact,
-            1e-9,
-            false,
-        );
-        let par = mine_step(
-            &instance,
-            &mut a_par,
-            5,
-            PartnerSelection::Exact,
-            1e-9,
-            true,
-        );
+        let seq = step(&instance, &mut a_seq, 5, PartnerSelection::Exact, false);
+        let par = step(&instance, &mut a_par, 5, PartnerSelection::Exact, true);
         assert_eq!(seq.partner, par.partner);
         assert!((seq.improvement - par.improvement).abs() < 1e-12);
     }
@@ -609,27 +466,36 @@ mod tests {
     #[test]
     fn scratch_reuse_matches_fresh_allocation() {
         let instance = random_instance(40, 6);
-        let a = Assignment::local(&instance);
+        let mut a = Assignment::local(&instance);
+        // Leave some requests off their owners so the quantized and
+        // masked evaluations see non-trivial ledgers.
+        for id in [0, 7, 19] {
+            step(&instance, &mut a, id, PartnerSelection::Exact, false);
+        }
+        let mask: Vec<bool> = (0..40).map(|j| j % 3 != 1).collect();
+        let stale: Vec<f64> = a.loads().iter().rev().copied().collect();
         let mut scratch = PartnerScratch::default();
         for id in 0..10 {
-            for selection in [
-                PartnerSelection::Exact,
-                PartnerSelection::Pruned { top_k: 5 },
-            ] {
-                let fresh = choose_partner_g(&instance, &a, id, selection, 1e-9, false, None, 0.0);
-                let reused = choose_partner_scratch_g(
-                    &instance,
-                    &a,
-                    id,
-                    selection,
-                    1e-9,
-                    false,
-                    None,
-                    0.0,
-                    None,
-                    &mut scratch,
-                );
-                assert_eq!(fresh, reused, "id {id} {selection:?}");
+            // Every combination of the four inputs that steer which
+            // buffers fill and how: quantum, mask, stale scoring view
+            // and the parallel evaluation arm.
+            for case in 0..32u32 {
+                let selection = if case & 1 == 0 {
+                    PartnerSelection::Exact
+                } else {
+                    PartnerSelection::Pruned { top_k: 5 }
+                };
+                let p = MineParams {
+                    granularity: if case & 2 == 0 { 0.0 } else { 1.0 },
+                    ..params(selection, case & 16 != 0)
+                };
+                let active = (case & 4 != 0).then_some(mask.as_slice());
+                let score_loads = (case & 8 != 0).then_some(stale.as_slice());
+                let choose = |scratch: &mut PartnerScratch| {
+                    choose_partner(&instance, &a, id, &p, active, score_loads, scratch)
+                };
+                let fresh = choose(&mut PartnerScratch::default());
+                assert_eq!(fresh, choose(&mut scratch), "id {id} case {case:05b}");
             }
         }
     }
@@ -647,27 +513,21 @@ mod tests {
         let stale = vec![100.0, 50.0, 0.0];
         let selection = PartnerSelection::Pruned { top_k: 1 };
         let mut scratch = PartnerScratch::default();
-        let live_choice = choose_partner_scratch_g(
+        let live_choice = choose_partner(
             &instance,
             &a,
             0,
-            selection,
-            1e-9,
-            false,
+            &params(selection, false),
             None,
-            0.0,
             None,
             &mut scratch,
         );
-        let stale_choice = choose_partner_scratch_g(
+        let stale_choice = choose_partner(
             &instance,
             &a,
             0,
-            selection,
-            1e-9,
-            false,
+            &params(selection, false),
             None,
-            0.0,
             Some(&stale),
             &mut scratch,
         );

@@ -38,7 +38,7 @@ use std::cell::RefCell;
 
 use dlb_core::{Assignment, Instance};
 
-use crate::mine::{choose_partner_outcome_scratch_g, PartnerScratch, PartnerSelection};
+use crate::mine::{choose_partner, MineParams, PartnerScratch};
 use crate::transfer::TransferOutcome;
 
 /// How the engine executes one iteration.
@@ -124,36 +124,29 @@ pub struct Proposal {
 /// each server's pruned pre-scoring reads loads from: one shared stale
 /// snapshot (emulated gossip), a per-server gossip view, or the live
 /// round-start loads.
-#[allow(clippy::too_many_arguments)]
 pub fn propose(
     instance: &Instance,
     a: &Assignment,
     order: &[usize],
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
+    params: &MineParams,
     active: Option<&[bool]>,
-    granularity: f64,
     score: ScoreView<'_>,
 ) -> Vec<Option<Proposal>> {
     let choose = |id: usize| {
         PROPOSE_SCRATCH.with(|scratch| {
-            choose_partner_outcome_scratch_g(
+            choose_partner(
                 instance,
                 a,
                 id,
-                selection,
-                min_improvement,
-                parallel,
+                params,
                 active,
-                granularity,
                 score.for_server(id),
                 &mut scratch.borrow_mut(),
             )
             .map(|(partner, outcome)| Proposal { partner, outcome })
         })
     };
-    if parallel {
+    if params.parallel {
         dlb_par::par_map_slice(order, |&id| choose(id))
     } else {
         order.iter().map(|&id| choose(id)).collect()
@@ -226,7 +219,7 @@ pub fn apply_matches(
         let i = order[p];
         #[cfg(debug_assertions)]
         {
-            let fresh = crate::transfer::calc_best_transfer_g(
+            let fresh = crate::transfer::calc_best_transfer(
                 instance,
                 a.ledger(i),
                 a.ledger(j),
@@ -253,40 +246,36 @@ pub fn apply_matches(
 }
 
 /// One full batched round: propose, match, apply.
-#[allow(clippy::too_many_arguments)]
 pub fn run_batched_round(
     instance: &Instance,
     a: &mut Assignment,
     order: &[usize],
-    selection: PartnerSelection,
-    min_improvement: f64,
-    parallel: bool,
+    params: &MineParams,
     active: Option<&[bool]>,
-    granularity: f64,
     score: ScoreView<'_>,
 ) -> RoundOutcome {
-    let proposals = propose(
-        instance,
-        a,
-        order,
-        selection,
-        min_improvement,
-        parallel,
-        active,
-        granularity,
-        score,
-    );
+    let proposals = propose(instance, a, order, params, active, score);
     let accepted = match_proposals(instance.len(), order, &proposals, active);
-    apply_matches(instance, a, order, proposals, &accepted, granularity)
+    apply_matches(instance, a, order, proposals, &accepted, params.granularity)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mine::PartnerSelection;
     use dlb_core::cost::total_cost;
     use dlb_core::rngutil::rng_for;
     use dlb_core::LatencyMatrix;
     use rand::Rng;
+
+    fn params(selection: PartnerSelection, parallel: bool) -> MineParams {
+        MineParams {
+            selection,
+            min_improvement: 1e-9,
+            parallel,
+            granularity: 0.0,
+        }
+    }
 
     fn random_instance(m: usize, seed: u64) -> Instance {
         let mut rng = rng_for(seed, 0x20BD);
@@ -350,11 +339,8 @@ mod tests {
             &instance,
             &mut a,
             &order,
-            PartnerSelection::Exact,
-            1e-9,
-            false,
+            &params(PartnerSelection::Exact, false),
             None,
-            0.0,
             ScoreView::Live,
         );
         let after = total_cost(&instance, &a);
@@ -379,22 +365,16 @@ mod tests {
             &instance,
             &mut a_seq,
             &order,
-            PartnerSelection::Pruned { top_k: 6 },
-            1e-9,
-            false,
+            &params(PartnerSelection::Pruned { top_k: 6 }, false),
             None,
-            0.0,
             ScoreView::Live,
         );
         let par = run_batched_round(
             &instance,
             &mut a_par,
             &order,
-            PartnerSelection::Pruned { top_k: 6 },
-            1e-9,
-            true,
+            &params(PartnerSelection::Pruned { top_k: 6 }, true),
             None,
-            0.0,
             ScoreView::Live,
         );
         assert_eq!(seq, par);
@@ -415,11 +395,8 @@ mod tests {
                 &instance,
                 &a,
                 &order,
-                PartnerSelection::Pruned { top_k: 4 },
-                1e-9,
-                false,
+                &params(PartnerSelection::Pruned { top_k: 4 }, false),
                 None,
-                0.0,
                 score,
             )
         };
@@ -443,11 +420,8 @@ mod tests {
             &instance,
             &a,
             &order,
-            PartnerSelection::Exact,
-            1e-9,
-            false,
+            &params(PartnerSelection::Exact, false),
             None,
-            0.0,
             ScoreView::Live,
         );
         let accepted = match_proposals(30, &order, &proposals, None);

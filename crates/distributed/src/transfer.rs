@@ -13,6 +13,12 @@
 //! requests from `i` to `j` (Lemma 1). After the pass no exchange
 //! between `i` and `j` can improve `ΣC` (Lemma 2) — a property-tested
 //! invariant.
+//!
+//! [`calc_best_transfer`] is the one entry point; its `granularity`
+//! argument is the transfer quantum (`0.0` = the continuous algorithm,
+//! `1.0` = whole requests). [`apply_best_transfer`] runs the continuous
+//! exchange in place on an [`Assignment`], and [`pair_cost`] is the
+//! pair-local cost both sides of an exchange are priced with.
 
 use dlb_core::sparse::SparseVec;
 use dlb_core::{Assignment, Instance};
@@ -60,27 +66,17 @@ pub fn pair_cost(
 }
 
 /// Runs Algorithm 1 on the ledgers of servers `i` and `j` (without
-/// touching the enclosing [`Assignment`]).
-pub fn calc_best_transfer(
-    instance: &Instance,
-    ledger_i: &SparseVec,
-    ledger_j: &SparseVec,
-    i: usize,
-    j: usize,
-) -> TransferOutcome {
-    calc_best_transfer_g(instance, ledger_i, ledger_j, i, j, 0.0)
-}
-
-/// [`calc_best_transfer`] with a transfer quantum: every per-owner
-/// transfer is a multiple of `granularity` (the better of the two
-/// neighbouring multiples of Lemma 1's continuous optimum, by the
-/// exact pair cost). `granularity = 0` gives the continuous algorithm.
+/// touching the enclosing [`Assignment`]) under a transfer quantum:
+/// every per-owner transfer is a multiple of `granularity` (the better
+/// of the two neighbouring multiples of Lemma 1's continuous optimum,
+/// by the exact pair cost). `granularity = 0` gives the continuous
+/// algorithm.
 ///
 /// The paper's load consists of *unit requests* — the fractional model
 /// is its relaxation (§II, §VII) — so the evaluation protocol uses
 /// `granularity = 1.0`: the algorithm stops when no whole request is
 /// worth moving, exactly as a discrete simulation would.
-pub fn calc_best_transfer_g(
+pub fn calc_best_transfer(
     instance: &Instance,
     ledger_i: &SparseVec,
     ledger_j: &SparseVec,
@@ -186,8 +182,8 @@ pub fn calc_best_transfer_g(
     }
 }
 
-/// Convenience wrapper: runs Algorithm 1 inside an [`Assignment`] and
-/// applies the result. Returns the outcome's improvement and moved
+/// Convenience wrapper: runs the continuous Algorithm 1 inside an
+/// [`Assignment`] and applies the result. Returns the outcome's improvement and moved
 /// volume.
 ///
 /// ```
@@ -213,30 +209,19 @@ pub fn apply_best_transfer(
     i: usize,
     j: usize,
 ) -> (f64, f64) {
-    let outcome = calc_best_transfer(instance, assignment.ledger(i), assignment.ledger(j), i, j);
+    let outcome = calc_best_transfer(
+        instance,
+        assignment.ledger(i),
+        assignment.ledger(j),
+        i,
+        j,
+        0.0,
+    );
     let improvement = outcome.improvement;
     let moved = outcome.moved;
     assignment.replace_ledger(i, outcome.ledger_i);
     assignment.replace_ledger(j, outcome.ledger_j);
     (improvement, moved)
-}
-
-/// Lemma 1's optimal single-owner transfer (exposed for tests and the
-/// homogeneous-theory checks): amount of owner `k`'s requests to move
-/// from `i` to `j` given current loads.
-pub fn lemma1_delta(
-    instance: &Instance,
-    li: f64,
-    lj: f64,
-    rki: f64,
-    k: usize,
-    i: usize,
-    j: usize,
-) -> f64 {
-    let si = instance.speed(i);
-    let sj = instance.speed(j);
-    let raw = ((sj * li - si * lj) - si * sj * (instance.c(k, j) - instance.c(k, i))) / (si + sj);
-    raw.clamp(0.0, rki)
 }
 
 #[cfg(test)]
@@ -395,7 +380,7 @@ mod tests {
         // f(4) = 36/2+16/2+12 = 38 — tie; either is fine, but it must
         // be integral.
         let instance = two_server_instance(3.0, 1.0, 1.0, 10.0, 0.0);
-        let out = calc_best_transfer_g(
+        let out = calc_best_transfer(
             &instance,
             &{
                 let mut v = SparseVec::new();
@@ -424,7 +409,7 @@ mod tests {
         // f(1) = 81/2 + 1/2 + 9.4 = 50.4 → stay.
         let mut a = Assignment::local(&instance);
         let before = total_cost(&instance, &a);
-        let out = calc_best_transfer_g(&instance, a.ledger(0), a.ledger(1), 0, 1, 1.0);
+        let out = calc_best_transfer(&instance, a.ledger(0), a.ledger(1), 0, 1, 1.0);
         a.replace_ledger(0, out.ledger_i);
         a.replace_ledger(1, out.ledger_j);
         let after = total_cost(&instance, &a);
@@ -446,7 +431,7 @@ mod tests {
             );
             let mut a = Assignment::local(&instance);
             let before = total_cost(&instance, &a);
-            let out = calc_best_transfer_g(&instance, a.ledger(0), a.ledger(1), 0, 1, 1.0);
+            let out = calc_best_transfer(&instance, a.ledger(0), a.ledger(1), 0, 1, 1.0);
             a.replace_ledger(0, out.ledger_i);
             a.replace_ledger(1, out.ledger_j);
             let after = total_cost(&instance, &a);

@@ -37,7 +37,7 @@
 
 use dlb_core::events::{EventHeap, Scheduled};
 use dlb_core::rngutil::rng_for;
-use dlb_obs::{NullSink, TraceEvent, TraceKind, TraceSink};
+use dlb_obs::{TraceEvent, TraceKind, TraceSink};
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -315,16 +315,14 @@ impl DeltaGossip {
     /// one-way delivery delay in virtual ms. The heap persists, so
     /// callers can interleave [`publish`](Self::publish) with repeated
     /// advances.
-    pub fn advance<D: Fn(usize, usize) -> f64>(&mut self, until_ms: f64, delays: D) {
-        self.advance_observed(until_ms, delays, &mut NullSink);
-    }
-
-    /// [`advance`](Self::advance) with a [`TraceSink`] observing frame
-    /// deliveries: every merged frame emits a `gossip_delta` event when
-    /// its hot set is non-empty and a `gossip_full` event when its
-    /// fallback shard is, stamped with receiver/sender and the shard
-    /// index. A [`NullSink`] run is bit-identical to the untraced path.
-    pub fn advance_observed<D: Fn(usize, usize) -> f64, T: TraceSink>(
+    ///
+    /// `tracer` observes frame deliveries: every merged frame emits a
+    /// `gossip_delta` event when its hot set is non-empty and a
+    /// `gossip_full` event when its fallback shard is, stamped with
+    /// receiver/sender and the shard index. Pass [`crate::NullSink`]
+    /// to trace nothing; observation never changes the protocol's
+    /// course.
+    pub fn advance<D: Fn(usize, usize) -> f64, T: TraceSink>(
         &mut self,
         until_ms: f64,
         delays: D,
@@ -350,18 +348,9 @@ impl DeltaGossip {
     /// Drains events until full dissemination or `max_ms` more virtual
     /// time elapses. Returns `(complete, virtual_ms)` where
     /// `virtual_ms` is the exact completion instant (or the deadline).
-    pub fn run_until_complete<D: Fn(usize, usize) -> f64>(
-        &mut self,
-        max_ms: f64,
-        delays: D,
-    ) -> (bool, f64) {
-        self.run_until_complete_observed(max_ms, delays, &mut NullSink)
-    }
-
-    /// [`run_until_complete`](Self::run_until_complete) with a
-    /// [`TraceSink`] observing frame deliveries (see
-    /// [`advance_observed`](Self::advance_observed)).
-    pub fn run_until_complete_observed<D: Fn(usize, usize) -> f64, T: TraceSink>(
+    /// `tracer` observes frame deliveries as in
+    /// [`advance`](Self::advance).
+    pub fn run_until_complete<D: Fn(usize, usize) -> f64, T: TraceSink>(
         &mut self,
         max_ms: f64,
         delays: D,
@@ -597,6 +586,7 @@ impl DeltaGossip {
 mod tests {
     use super::*;
     use crate::events::{EventGossip, EventGossipConfig, GossipInputs};
+    use crate::NullSink;
 
     fn cfg() -> DeltaGossipConfig {
         DeltaGossipConfig::default()
@@ -607,7 +597,7 @@ mod tests {
         let loads: Vec<f64> = (0..50).map(|i| i as f64).collect();
         let mut net = DeltaGossip::new(&loads, 7, cfg());
         assert!(!net.fully_disseminated());
-        let (complete, t) = net.run_until_complete(60_000.0, |_, _| 10.0);
+        let (complete, t) = net.run_until_complete(60_000.0, |_, _| 10.0, &mut NullSink);
         assert!(complete, "did not disseminate");
         assert!(t > 0.0 && t < 40.0 * 100.0, "completed at {t} ms");
         for node in 0..50 {
@@ -622,8 +612,11 @@ mod tests {
         let loads: Vec<f64> = (0..32).map(|i| (i * i) as f64).collect();
         let run = |seed| {
             let mut net = DeltaGossip::new(&loads, seed, cfg());
-            let out =
-                net.run_until_complete(60_000.0, |i, j| 1.0 + ((i * 31 + j * 17) % 13) as f64);
+            let out = net.run_until_complete(
+                60_000.0,
+                |i, j| 1.0 + ((i * 31 + j * 17) % 13) as f64,
+                &mut NullSink,
+            );
             (out, net.traffic(), net.view(5))
         };
         assert_eq!(run(3), run(3));
@@ -636,12 +629,12 @@ mod tests {
         // network mid-flight (heap, RNG, counters and all).
         let loads: Vec<f64> = (0..24).map(|i| (i % 7) as f64).collect();
         let mut a = DeltaGossip::new(&loads, 9, cfg());
-        a.advance(350.0, |_, _| 5.0);
+        a.advance(350.0, |_, _| 5.0, &mut NullSink);
         let mut b = a.clone();
         a.publish(3, 99.0);
         b.publish(3, 99.0);
-        a.advance(5_000.0, |_, _| 5.0);
-        b.advance(5_000.0, |_, _| 5.0);
+        a.advance(5_000.0, |_, _| 5.0, &mut NullSink);
+        b.advance(5_000.0, |_, _| 5.0, &mut NullSink);
         assert_eq!(a.traffic(), b.traffic());
         for node in 0..24 {
             assert_eq!(a.view(node), b.view(node));
@@ -659,7 +652,7 @@ mod tests {
         }
         net.publish(17, 1000.0);
         assert!(!net.fully_disseminated());
-        let (complete, t) = net.run_until_complete(60_000.0, |_, _| 5.0);
+        let (complete, t) = net.run_until_complete(60_000.0, |_, _| 5.0, &mut NullSink);
         assert!(complete);
         assert!(t > 0.0);
         for node in 0..40 {
@@ -679,7 +672,7 @@ mod tests {
             GossipInputs::default(),
         );
         let mut delta = DeltaGossip::new(&loads, 21, cfg());
-        let (complete, _) = delta.run_until_complete(60_000.0, |_, _| 4.0);
+        let (complete, _) = delta.run_until_complete(60_000.0, |_, _| 4.0, &mut NullSink);
         assert!(complete);
         for node in 0..48 {
             assert_eq!(delta.view(node), full.view(node), "node {node} differs");
@@ -697,9 +690,9 @@ mod tests {
                 net.publish(node, 500.0 + step as f64);
             }
             let until = net.now_ms() + 100.0;
-            net.advance(until, delays);
+            net.advance(until, delays, &mut NullSink);
         }
-        let (complete, _) = net.run_until_complete(60_000.0, delays);
+        let (complete, _) = net.run_until_complete(60_000.0, delays, &mut NullSink);
         assert!(complete);
         let reference = net.view(0);
         for node in 1..36 {
@@ -716,7 +709,7 @@ mod tests {
         let loads: Vec<f64> = (0..m).map(|i| i as f64).collect();
         let mut net = DeltaGossip::warm(&loads, 1, cfg());
         let before = net.traffic();
-        net.advance(1_000.0, |_, _| 1.0);
+        net.advance(1_000.0, |_, _| 1.0, &mut NullSink);
         let t = net.traffic().since(&before);
         assert!(t.frames > 0);
         let per_frame = t.bytes as f64 / t.frames as f64;
@@ -739,10 +732,10 @@ mod tests {
 
         let mut traced = DeltaGossip::new(&loads, 11, cfg());
         let mut sink = MemorySink::default();
-        let out_traced = traced.run_until_complete_observed(60_000.0, delays, &mut sink);
+        let out_traced = traced.run_until_complete(60_000.0, delays, &mut sink);
 
         let mut plain = DeltaGossip::new(&loads, 11, cfg());
-        let out_plain = plain.run_until_complete(60_000.0, delays);
+        let out_plain = plain.run_until_complete(60_000.0, delays, &mut NullSink);
 
         // Observation is passive: same completion instant, traffic, and
         // views whether or not a sink is attached.
@@ -777,7 +770,7 @@ mod tests {
     fn trivial_networks_are_complete_and_silent() {
         let mut single = DeltaGossip::new(&[9.0], 1, cfg());
         assert!(single.fully_disseminated());
-        let (complete, t) = single.run_until_complete(1_000.0, |_, _| 1.0);
+        let (complete, t) = single.run_until_complete(1_000.0, |_, _| 1.0, &mut NullSink);
         assert!(complete);
         assert_eq!(t, 0.0);
         assert!(single.traffic().is_quiet());

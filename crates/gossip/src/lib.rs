@@ -35,6 +35,8 @@ pub mod shard;
 pub mod wire;
 
 pub use delta::{DeltaGossip, DeltaGossipConfig, GossipTraffic};
+/// The no-op tracer, for [`DeltaGossip`] callers that trace nothing.
+pub use dlb_obs::NullSink;
 pub use events::{EventGossip, EventGossipConfig, EventGossipStats, GossipInputs};
 pub use push_pull::{GossipNetwork, GossipStats};
 pub use shard::ShardMap;

@@ -477,7 +477,7 @@ mod tests {
         // all-local), so check the primitive directly: an audit
         // exchange on the crossed ledgers returns everything home.
         use dlb_distributed::transfer::calc_best_transfer;
-        let out = calc_best_transfer(&instance, crossed.ledger(0), crossed.ledger(1), 0, 1);
+        let out = calc_best_transfer(&instance, crossed.ledger(0), crossed.ledger(1), 0, 1, 0.0);
         assert_eq!(out.ledger_i.get(0), 100.0, "own requests return home");
         assert_eq!(out.ledger_j.get(1), 100.0);
         let mut fixed = crossed.clone();

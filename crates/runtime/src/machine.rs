@@ -759,6 +759,7 @@ impl NodeMachine {
             &theirs,
             self.id as usize,
             from as usize,
+            0.0,
         );
         let partner_ledger = outcome.ledger_j;
         let partner_load = partner_ledger.sum();

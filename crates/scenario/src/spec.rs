@@ -164,7 +164,8 @@ impl SpeedKind {
 }
 
 /// Which runtime hosts a `algo=protocol` scenario (the `runtime=`
-/// key). The engine/game/solver algorithms ignore it.
+/// key). [`ScenarioSpec::parse`] rejects `runtime=events` on any other
+/// algorithm.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RuntimeSpec {
     /// The thread runtime: one OS thread per organization plus a
@@ -508,7 +509,8 @@ pub struct ScenarioSpec {
     /// Number of organizations/servers (`m=`).
     pub m: usize,
     /// Homogeneous pairwise latency in ms (`lat=`; only `net=homog`
-    /// reads it — the generated substrates have their own scales).
+    /// reads it — the generated substrates have their own scales, and
+    /// [`ScenarioSpec::parse`] rejects `lat=` on them).
     pub lat: f64,
     /// Initial-load distribution (`load=`).
     pub load: LoadDistribution,
@@ -519,7 +521,8 @@ pub struct ScenarioSpec {
     /// RNG seed for sampling and iteration order (`seed=`).
     pub seed: u64,
     /// Transfer quantum for the engine runners; `0` = continuous
-    /// (`gran=`).
+    /// (`gran=`). [`ScenarioSpec::parse`] rejects a non-zero quantum on
+    /// the other algorithms, which ignore it.
     pub gran: f64,
     /// Termination tolerance (`eps=`): engine stall tolerance, dynamics
     /// change threshold, cluster quiescent volume, or solver tolerance.
@@ -530,7 +533,8 @@ pub struct ScenarioSpec {
     pub budget: usize,
     /// Which runtime hosts `algo=protocol` (`runtime=`): OS threads or
     /// the deterministic event-driven executor. Other algorithms
-    /// ignore it.
+    /// ignore it, and [`ScenarioSpec::parse`] rejects `runtime=events`
+    /// on them.
     pub runtime: RuntimeSpec,
     /// Partner-selection policy of the protocol runtime (`select=`):
     /// the exact per-round scan or the delay-aware `topk:K` candidate
@@ -817,74 +821,72 @@ impl ScenarioSpec {
             // `text`; remember the key for duplicate detection.
             seen.push(key);
         }
-        if spec.select != SelectSpec::Exact && spec.algo != AlgoSpec::Protocol {
-            return Err(SpecError(
+        // Every key must change what the named system does: each rule
+        // pairs a spec that breaks it with the error, checked in order.
+        let events = spec.algo == AlgoSpec::Protocol && spec.runtime == RuntimeSpec::Events;
+        let engine = matches!(spec.algo, AlgoSpec::Sequential | AlgoSpec::Batched);
+        let d = Self::default();
+        let rules = [
+            (
+                spec.select != SelectSpec::Exact && spec.algo != AlgoSpec::Protocol,
                 "select= requires algo=protocol (partner selection is a protocol-runtime \
-                 policy; the analytic engines have their own pruning axis)"
-                    .into(),
-            ));
-        }
-        if !spec.faults.is_empty()
-            && (spec.algo != AlgoSpec::Protocol || spec.runtime != RuntimeSpec::Events)
-        {
-            return Err(SpecError(
+                 policy; the analytic engines have their own pruning axis)",
+            ),
+            (
+                !spec.faults.is_empty() && !events,
                 "faults= requires algo=protocol runtime=events (the deterministic \
-                 simulation is what can replay a fault schedule)"
-                    .into(),
-            ));
-        }
-        if spec.detect != DetectSpec::Oracle
-            && (spec.algo != AlgoSpec::Protocol || spec.runtime != RuntimeSpec::Events)
-        {
-            return Err(SpecError(
+                 simulation is what can replay a fault schedule)",
+            ),
+            (
+                spec.detect != DetectSpec::Oracle && !events,
                 "detect= requires algo=protocol runtime=events (in-protocol failure \
-                 detection needs the virtual clock to arm deadlines on)"
-                    .into(),
-            ));
-        }
-        if !spec.arrivals.is_empty() && spec.duration <= 0.0 {
-            return Err(SpecError(
+                 detection needs the virtual clock to arm deadlines on)",
+            ),
+            (
+                !spec.arrivals.is_empty() && spec.duration <= 0.0,
                 "arrivals= requires duration= (a positive stream horizon in virtual ms, \
-                 e.g. duration=2000ms)"
-                    .into(),
-            ));
-        }
-        if spec.duration > 0.0 && spec.arrivals.is_empty() {
-            return Err(SpecError(
+                 e.g. duration=2000ms)",
+            ),
+            (
+                spec.duration > 0.0 && spec.arrivals.is_empty(),
                 "duration= requires arrivals= (the horizon only bounds a live arrival \
-                 stream, e.g. arrivals=poisson:200)"
-                    .into(),
-            ));
-        }
-        if !spec.arrivals.is_empty()
-            && (spec.algo != AlgoSpec::Protocol || spec.runtime != RuntimeSpec::Events)
-        {
-            return Err(SpecError(
+                 stream, e.g. arrivals=poisson:200)",
+            ),
+            (
+                !spec.arrivals.is_empty() && !events,
                 "arrivals= requires algo=protocol runtime=events (live streaming rides \
-                 the deterministic virtual-time event heap)"
-                    .into(),
-            ));
-        }
-        if spec.gossip != GossipSpec::default()
-            && spec.algo != AlgoSpec::Sequential
-            && spec.algo != AlgoSpec::Batched
-        {
-            return Err(SpecError(
+                 the deterministic virtual-time event heap)",
+            ),
+            (
+                spec.gossip != GossipSpec::default() && !engine,
                 "gossip= requires algo=sequential or algo=batched (stale partner scoring \
-                 is an engine axis; the protocol runtime exchanges live views by design)"
-                    .into(),
-            ));
-        }
-        if spec.trace != TraceSpec::Off
-            && (spec.algo != AlgoSpec::Protocol || spec.runtime != RuntimeSpec::Events)
-        {
-            return Err(SpecError(
+                 is an engine axis; the protocol runtime exchanges live views by design)",
+            ),
+            (
+                spec.trace != TraceSpec::Off && !events,
                 "trace= requires algo=protocol runtime=events (the deterministic executor \
-                 is what stamps trace events on the virtual clock)"
-                    .into(),
-            ));
+                 is what stamps trace events on the virtual clock)",
+            ),
+            (
+                spec.gran != d.gran && !engine,
+                "gran= requires algo=sequential or algo=batched (the transfer quantum is \
+                 an engine setting; the other algorithms move continuous load)",
+            ),
+            (
+                spec.lat != d.lat && spec.net != NetSpec::Homog,
+                "lat= requires net=homog (the generated substrates set their own \
+                 latency scale)",
+            ),
+            (
+                spec.runtime != d.runtime && spec.algo != AlgoSpec::Protocol,
+                "runtime= requires algo=protocol (only the protocol runs on a runtime; \
+                 the other algorithms are computed directly)",
+            ),
+        ];
+        match rules.into_iter().find(|&(broken, _)| broken) {
+            Some((_, error)) => Err(SpecError(error.into())),
+            None => Ok(spec),
         }
-        Ok(spec)
     }
 
     /// Builds the latency matrix this spec names (deterministic per
@@ -1052,8 +1054,11 @@ mod tests {
                 .algo(AlgoSpec::Bcd)
                 .latency_ms(35.5)
                 .load(LoadDistribution::Uniform)
-                .granularity(1.0)
                 .seed(999),
+            ScenarioSpec::new()
+                .algo(AlgoSpec::Batched)
+                .net(NetSpec::Pl)
+                .granularity(1.0),
         ];
         for spec in specs {
             let text = spec.to_string();
@@ -1466,6 +1471,57 @@ mod tests {
             let err = ScenarioSpec::parse(text).unwrap_err();
             assert!(err.0.contains(needle), "'{text}' -> {err}");
         }
+    }
+
+    #[test]
+    fn gran_requires_an_engine_algorithm() {
+        for text in [
+            "algo=nash m=10 gran=1",
+            "algo=bcd gran=1",
+            "algo=protocol gran=0.5",
+        ] {
+            let err = ScenarioSpec::parse(text).unwrap_err();
+            assert!(
+                err.0
+                    .contains("gran= requires algo=sequential or algo=batched"),
+                "'{text}' -> {err}"
+            );
+        }
+        // Key order must not matter, and the continuous default never
+        // trips it.
+        assert!(ScenarioSpec::parse("gran=1 algo=batched").is_ok());
+        assert!(ScenarioSpec::parse("gran=1").is_ok());
+        assert!(ScenarioSpec::parse("algo=nash gran=0").is_ok());
+    }
+
+    #[test]
+    fn lat_requires_the_homogeneous_network() {
+        for text in ["net=pl m=10 lat=5", "algo=protocol net=euclid lat=35"] {
+            let err = ScenarioSpec::parse(text).unwrap_err();
+            assert!(
+                err.0.contains("lat= requires net=homog"),
+                "'{text}' -> {err}"
+            );
+        }
+        assert!(ScenarioSpec::parse("lat=5 net=homog").is_ok());
+        assert!(ScenarioSpec::parse("net=pl lat=20").is_ok());
+    }
+
+    #[test]
+    fn runtime_events_requires_the_protocol() {
+        for text in [
+            "runtime=events",
+            "algo=batched runtime=events m=30",
+            "algo=nash runtime=events",
+        ] {
+            let err = ScenarioSpec::parse(text).unwrap_err();
+            assert!(
+                err.0.contains("runtime= requires algo=protocol"),
+                "'{text}' -> {err}"
+            );
+        }
+        assert!(ScenarioSpec::parse("runtime=events algo=protocol").is_ok());
+        assert!(ScenarioSpec::parse("algo=bcd runtime=threads").is_ok());
     }
 
     #[test]
