@@ -111,25 +111,6 @@ fn bench_projection(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_metric_close(c: &mut Criterion) {
-    let mut group = c.benchmark_group("floyd_warshall");
-    group.sample_size(20);
-    for &m in &[100usize, 300] {
-        let lat = NetworkKind::PlanetLab.build(m, 4);
-        group.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {
-            b.iter_batched(
-                || lat.clone(),
-                |mut lat| {
-                    lat.metric_close();
-                    lat
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
-    group.finish();
-}
-
 fn bench_min_cost_flow(c: &mut Criterion) {
     let mut group = c.benchmark_group("min_cost_max_flow");
     group.sample_size(20);
@@ -166,7 +147,6 @@ criterion_group!(
     bench_cost,
     bench_waterfill,
     bench_projection,
-    bench_metric_close,
     bench_min_cost_flow
 );
 criterion_main!(kernels);

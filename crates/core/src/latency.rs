@@ -13,6 +13,10 @@
 //! targets would be an 80 GB allocation. Heterogeneous generators get
 //! the dense representation the moment they write a non-uniform entry.
 
+/// Pivots [`LatencyMatrix::metric_close`] fuses into one pass over the
+/// matrix; its row stream is written out for four.
+const PIVOT_BLOCK: usize = 4;
+
 /// An `m × m` matrix of pairwise communication latencies in
 /// milliseconds.
 ///
@@ -208,6 +212,10 @@ impl LatencyMatrix {
     /// The paper assumes the network layer already routes optimally, so
     /// model inputs should be metric-closed; topology generators use
     /// [`Self::metric_close`] to enforce this.
+    ///
+    /// Each `(k, i)` pair is one branch-free pass over rows `i` and `k`.
+    /// An infinite `c_{ik}` or `c_{kj}` needs no skip: `c_{ik} + c_{kj} +
+    /// tol` is then `+∞` (or NaN for `tol = -∞`), which no entry exceeds.
     pub fn is_metric(&self, tol: f64) -> bool {
         let m = self.m;
         let data = match &self.storage {
@@ -216,16 +224,15 @@ impl LatencyMatrix {
             Storage::Dense(data) => data,
         };
         for k in 0..m {
-            for i in 0..m {
-                let cik = data[i * m + k];
-                if !cik.is_finite() {
-                    continue;
-                }
-                for j in 0..m {
-                    let ckj = data[k * m + j];
-                    if ckj.is_finite() && data[i * m + j] > cik + ckj + tol {
-                        return false;
-                    }
+            let row_k = &data[k * m..(k + 1) * m];
+            for row_i in data.chunks_exact(m) {
+                let cik = row_i[k];
+                let violated = row_i
+                    .iter()
+                    .zip(row_k)
+                    .fold(false, |acc, (&cij, &ckj)| acc | (cij > cik + ckj + tol));
+                if violated {
+                    return false;
                 }
             }
         }
@@ -236,6 +243,30 @@ impl LatencyMatrix {
     /// metric closure). This mirrors the paper's footnote 3: the iPlane
     /// dataset is incomplete, so missing pairs are filled with minimal
     /// distances.
+    ///
+    /// The result is bit-identical to the textbook serial loop
+    /// `for k { for i { for j { d[i][j] = min(d[i][k] + d[k][j], d[i][j]) } } }`
+    /// with a strict-`<` select, but the pivots are fused in blocks of
+    /// four so the matrix is streamed once per block instead of once per
+    /// pivot:
+    ///
+    /// 1. the block's pivot rows are copied to a scratch buffer, row
+    ///    `k0 + b` as it stands after pivots `k0..k0 + b` (applied to the
+    ///    copy in order);
+    /// 2. for each row `i`, a 4×4 prologue derives the multipliers:
+    ///    `c_b` is entry `(i, k0 + b)` after the block's earlier pivots;
+    /// 3. each entry of row `i` then takes the four candidates
+    ///    `c_b + pivot_b[j]` in pivot order.
+    ///
+    /// Every entry thus sees exactly the serial loop's additions and
+    /// selects, in the same order: pivot `k` never changes row `k` or
+    /// column `k` (`d[k][k]` is zero), so the copies and multipliers are
+    /// the values the serial loop reads. `+∞`, unreachable pairs and
+    /// `-0.0` come out the same. An infinite multiplier needs no skip:
+    /// `∞ + x` never wins a strict `<`, which also makes the unused slots
+    /// of a partial last block no-ops. Reordering the additions instead,
+    /// as an `(i, j)`-tiled Floyd–Warshall does, changes the last ulp of
+    /// some entries, so it would not be the same closure.
     pub fn metric_close(&mut self) {
         let m = self.m;
         let data = match &mut self.storage {
@@ -243,17 +274,42 @@ impl LatencyMatrix {
             Storage::Homogeneous(_) => return,
             Storage::Dense(data) => data,
         };
-        for k in 0..m {
-            for i in 0..m {
-                let cik = data[i * m + k];
-                if !cik.is_finite() {
-                    continue;
-                }
-                for j in 0..m {
-                    let through = cik + data[k * m + j];
-                    if through < data[i * m + j] {
-                        data[i * m + j] = through;
+        if m == 0 {
+            return; // chunks_exact_mut(0) would panic
+        }
+        let mut pivots = vec![0.0; PIVOT_BLOCK * m];
+        for k0 in (0..m).step_by(PIVOT_BLOCK) {
+            let nb = PIVOT_BLOCK.min(m - k0);
+            // Step 1: pivot row k0 + b after the block's pivots before it.
+            for b in 0..nb {
+                let (done, rest) = pivots.split_at_mut(b * m);
+                let row = &mut rest[..m];
+                row.copy_from_slice(&data[(k0 + b) * m..(k0 + b + 1) * m]);
+                for (e, pivot) in done.chunks_exact(m).enumerate() {
+                    let c = row[k0 + e];
+                    for (d, &p) in row.iter_mut().zip(pivot) {
+                        *d = relax(*d, c + p);
                     }
+                }
+            }
+            let [p0, p1, p2, p3] = [0, 1, 2, 3].map(|b| &pivots[b * m..(b + 1) * m]);
+            for row in data.chunks_exact_mut(m) {
+                // Step 2: the multipliers; slots past `nb` stay infinite.
+                let mut c = [f64::INFINITY; PIVOT_BLOCK];
+                for b in 0..nb {
+                    c[b] = row[k0 + b];
+                    for e in 0..b {
+                        c[b] = relax(c[b], c[e] + pivots[e * m + k0 + b]);
+                    }
+                }
+                // Step 3: one pass over the row, four relaxations per entry.
+                for ((((d, &s0), &s1), &s2), &s3) in row.iter_mut().zip(p0).zip(p1).zip(p2).zip(p3)
+                {
+                    let mut v = *d;
+                    for (cb, s) in c.into_iter().zip([s0, s1, s2, s3]) {
+                        v = relax(v, cb + s);
+                    }
+                    *d = v;
                 }
             }
         }
@@ -266,6 +322,18 @@ impl LatencyMatrix {
             Storage::Homogeneous(c) => self.m < 2 || c.is_finite(),
             Storage::Dense(data) => data.iter().all(|v| v.is_finite()),
         }
+    }
+}
+
+/// One Floyd–Warshall relaxation: `through` replaces `d` only when
+/// strictly shorter. `f64::min` may return either zero on a `-0.0` /
+/// `+0.0` tie; the strict `<` keeps `d`, as the serial loop does.
+#[inline]
+fn relax(d: f64, through: f64) -> f64 {
+    if through < d {
+        through
+    } else {
+        d
     }
 }
 
@@ -399,6 +467,166 @@ mod tests {
         assert!(c.get(0, 2).is_infinite());
         assert!(c.get(2, 1).is_infinite());
         assert_eq!(c.get(0, 1), 1.0);
+    }
+
+    /// The serial Floyd–Warshall `metric_close` ran before its pivots
+    /// were fused, kept verbatim as the bit-identity oracle.
+    fn reference_close(m: usize, data: &mut [f64]) {
+        for k in 0..m {
+            for i in 0..m {
+                let cik = data[i * m + k];
+                if !cik.is_finite() {
+                    continue;
+                }
+                for j in 0..m {
+                    let through = cik + data[k * m + j];
+                    if through < data[i * m + j] {
+                        data[i * m + j] = through;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The triple loop `is_metric` ran before its row-slice form, kept
+    /// verbatim as the oracle for the same answer.
+    fn reference_is_metric(m: usize, data: &[f64], tol: f64) -> bool {
+        for k in 0..m {
+            for i in 0..m {
+                let cik = data[i * m + k];
+                if !cik.is_finite() {
+                    continue;
+                }
+                for j in 0..m {
+                    let ckj = data[k * m + j];
+                    if ckj.is_finite() && data[i * m + j] > cik + ckj + tol {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Largest matrix side the property tests draw: 37 covers every
+    /// `m % 4` and the sides below one pivot block.
+    const MAX_PROP_M: usize = 37;
+
+    /// An entry from {`+∞`, `+0.0`, `-0.0`, U(0, 100)}, the finite draw
+    /// the most likely.
+    fn entry() -> impl Strategy<Value = f64> {
+        (0u8..8, 0.0f64..100.0).prop_map(|(kind, x)| match kind {
+            0 => f64::INFINITY,
+            1 => 0.0,
+            2 => -0.0,
+            _ => x,
+        })
+    }
+
+    /// The first `m * m` of `vals` as a dense matrix with a zero diagonal.
+    fn square(m: usize, mut vals: Vec<f64>) -> Vec<f64> {
+        vals.truncate(m * m);
+        for i in 0..m {
+            vals[i * m + i] = 0.0;
+        }
+        vals
+    }
+
+    /// Closes `data` with both kernels and requires every entry to match
+    /// bit for bit.
+    fn assert_closes_like_reference(m: usize, data: Vec<f64>) {
+        let mut expected = data.clone();
+        reference_close(m, &mut expected);
+        let mut c = LatencyMatrix::from_rows(m, data);
+        c.metric_close();
+        for i in 0..m {
+            for j in 0..m {
+                assert_eq!(
+                    c.get(i, j).to_bits(),
+                    expected[i * m + j].to_bits(),
+                    "m={m}: entry ({i}, {j}) is {} but the serial loop gives {}",
+                    c.get(i, j),
+                    expected[i * m + j]
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn metric_close_matches_the_serial_loop_at_m_130_with_missing_pairs() {
+        let m = 130;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let data = (0..m * m)
+            .map(|idx| {
+                let r = next();
+                if idx % (m + 1) == 0 {
+                    0.0
+                } else if r % 5 == 0 {
+                    f64::INFINITY
+                } else {
+                    (r >> 11) as f64 / (1u64 << 53) as f64 * 100.0
+                }
+            })
+            .collect();
+        assert_closes_like_reference(m, data);
+    }
+
+    #[test]
+    fn metric_close_handles_empty_and_single_server_matrices() {
+        let mut empty = LatencyMatrix::from_rows(0, vec![]);
+        empty.metric_close();
+        assert!(empty.is_empty());
+        let mut single = LatencyMatrix::from_rows(1, vec![0.0]);
+        single.metric_close();
+        assert_eq!(single.get(0, 0), 0.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_metric_close_is_bit_identical_to_the_serial_loop(
+            m in 1usize..MAX_PROP_M + 1,
+            vals in prop::collection::vec(entry(), MAX_PROP_M * MAX_PROP_M)
+        ) {
+            assert_closes_like_reference(m, square(m, vals));
+        }
+
+        /// Entries on a 0.5 ms lattice and `tol` ∈ {0, 0.5, 1} put many
+        /// triangles exactly on, or one step past, the tolerance edge.
+        #[test]
+        fn prop_is_metric_agrees_with_the_triple_loop(
+            m in 1usize..MAX_PROP_M + 1,
+            steps in prop::collection::vec(0u8..12, MAX_PROP_M * MAX_PROP_M),
+            close in 0u8..2,
+            bump in (0usize..MAX_PROP_M * MAX_PROP_M, 0u8..4),
+            tol_steps in 0u8..3
+        ) {
+            let tol = f64::from(tol_steps) * 0.5;
+            let vals = steps
+                .into_iter()
+                .map(|s| if s == 11 { f64::INFINITY } else { f64::from(s) * 0.5 })
+                .collect();
+            let mut c = LatencyMatrix::from_rows(m, square(m, vals));
+            if close == 1 {
+                c.metric_close();
+                // Raise one entry to sit within a step of its tolerance.
+                let (idx, by) = bump;
+                let (i, j) = (idx / MAX_PROP_M % m, idx % MAX_PROP_M % m);
+                if i != j {
+                    let v = c.get(i, j) + tol + f64::from(by) * 0.25 - 0.25;
+                    c.set(i, j, v.max(0.0));
+                }
+            }
+            let data: Vec<f64> = (0..m * m).map(|idx| c.get(idx / m, idx % m)).collect();
+            prop_assert_eq!(c.is_metric(tol), reference_is_metric(m, &data, tol));
+        }
     }
 
     proptest! {
